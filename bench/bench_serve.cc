@@ -2,6 +2,9 @@
 //
 //  1. Engine: 8 producer threads drive the request Batcher directly
 //     (no sockets), comparing max_batch=1 against coalesced passes.
+//     Each completion formats its response body, as the server does on
+//     the batcher thread, so the scenario ends where the socket write
+//     would begin.
 //     This isolates what batching actually buys: the per-pass fixed
 //     cost — executor wakeup, queue pop, trace span, metrics, matrix
 //     setup, and the decoder pass preamble — is paid once per batch
@@ -28,6 +31,7 @@
 
 #include "bench_common.h"
 #include "core/release.h"
+#include "serve/api.h"
 #include "serve/batcher.h"
 #include "serve/client.h"
 #include "serve/sample_cache.h"
@@ -106,7 +110,7 @@ struct ScenarioResult {
 
 // Engine-level scenario: `producers` threads submit `jobs_per_producer`
 // single-model sample jobs straight into a Batcher and the run is timed
-// until every completion lands.
+// until every completion has formatted its response body.
 ScenarioResult RunEngineScenario(
     std::shared_ptr<const core::ReleasePackage> pkg,
     const std::string& section, std::size_t max_batch, int producers,
@@ -128,8 +132,11 @@ ScenarioResult RunEngineScenario(
   serve::Batcher batcher(
       options, &cache,
       [&](std::uint64_t, util::Result<data::Dataset> result) {
-        if (!result.ok() ||
-            result->size() != rows_per_job) {
+        std::string body;
+        if (!result.ok() || result->size() != rows_per_job ||
+            !serve::AppendSampleResponseJson("bench", 1, false, *result,
+                                             &body)
+                 .ok()) {
           errors.fetch_add(1);
         }
         // Lock-free on the hot path; only the last completion takes the

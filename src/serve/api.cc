@@ -1,9 +1,13 @@
 #include "serve/api.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
+#include <vector>
 
 #include "obs/json.h"
+#include "util/thread_pool.h"
 
 namespace p3gm {
 namespace serve {
@@ -109,44 +113,132 @@ std::string ErrorJson(const std::string& message) {
 
 namespace {
 
-std::string FormatValue(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+// Longest std::to_chars outputs: a shortest round-trip double
+// ("-2.2250738585072014e-308") and a 64-bit unsigned integer.
+constexpr std::size_t kMaxDoubleChars = 24;
+constexpr std::size_t kMaxUintChars = 20;
+
+template <std::size_t N>
+char* Put(char* p, const char (&literal)[N]) {
+  std::memcpy(p, literal, N - 1);
+  return p + N - 1;
+}
+
+char* Put(char* p, const std::string& s) {
+  std::memcpy(p, s.data(), s.size());
+  return p + s.size();
+}
+
+char* PutUint(char* p, std::uint64_t v) {
+  return std::to_chars(p, p + kMaxUintChars, v).ptr;
+}
+
+// Rows are formatted in chunks of about this many values on the util
+// thread pool. The chunk grid depends only on the block's shape and each
+// value's text only on the value, so the bytes do not depend on the
+// thread count.
+constexpr std::size_t kValuesPerChunk = 2048;
+constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+
+// Writes rows [begin, end) as `[v, v], [v, v]` (row 0 without the
+// leading separator) at p and returns the end. On a non-finite value it
+// stops, stores the value's row-major index in *bad and returns p.
+char* PutRows(const linalg::Matrix& features, std::size_t begin,
+              std::size_t end, char* p, std::size_t* bad) {
+  const std::size_t dim = features.cols();
+  for (std::size_t i = begin; i < end; ++i) {
+    if (i > 0) p = Put(p, ", ");
+    *p++ = '[';
+    const double* row = features.row_data(i);
+    for (std::size_t j = 0; j < dim; ++j) {
+      if (j > 0) p = Put(p, ", ");
+      if (!std::isfinite(row[j])) {
+        *bad = i * dim + j;
+        return p;
+      }
+      p = std::to_chars(p, p + kMaxDoubleChars, row[j]).ptr;
+    }
+    *p++ = ']';
+  }
+  return p;
 }
 
 }  // namespace
+
+util::Status AppendSampleResponseJson(const std::string& model,
+                                      std::uint64_t generation, bool cached,
+                                      const data::Dataset& rows,
+                                      std::string* out) {
+  const std::string escaped_model = obs::json::Escape(model);
+  const std::size_t n = rows.size();
+  const std::size_t dim = rows.dim();
+  // Worst-case size, so the whole body is written through raw pointers
+  // into one allocation and trimmed once at the end.
+  const std::size_t row_bound = 4 + dim * (kMaxDoubleChars + 2);
+  const std::size_t bound = 160 + escaped_model.size() + 4 * kMaxUintChars +
+                            n * row_bound +
+                            rows.labels.size() * (kMaxUintChars + 2);
+  const std::size_t start = out->size();
+  out->resize(start + bound);
+  char* p = out->data() + start;
+  p = Put(p, "{\"model\": \"");
+  p = Put(p, escaped_model);
+  p = Put(p, "\", \"generation\": ");
+  p = PutUint(p, generation);
+  p = Put(p, ", \"n\": ");
+  p = PutUint(p, n);
+  p = Put(p, ", \"dim\": ");
+  p = PutUint(p, dim);
+  p = Put(p, ", \"num_classes\": ");
+  p = PutUint(p, rows.num_classes);
+  p = cached ? Put(p, ", \"cached\": true") : Put(p, ", \"cached\": false");
+  p = Put(p, ", \"rows\": [");
+
+  // Each chunk writes at its worst-case offset; the chunks are then slid
+  // left into place in order.
+  const std::size_t grain = std::max<std::size_t>(
+      1, kValuesPerChunk / std::max<std::size_t>(1, dim));
+  const std::size_t chunks = util::NumChunks(0, n, grain);
+  std::vector<char*> ends(chunks);
+  std::vector<std::size_t> bad(chunks, kNoIndex);
+  char* const rows_begin = p;
+  util::ParallelForChunks(
+      0, n, grain, [&](std::size_t c, std::size_t begin, std::size_t end) {
+        ends[c] = PutRows(rows.features, begin, end,
+                          rows_begin + begin * row_bound, &bad[c]);
+      });
+  for (std::size_t c = 0; c < chunks; ++c) {
+    if (bad[c] != kNoIndex) {
+      out->resize(start);
+      const double v = rows.features.data()[bad[c]];
+      return util::Status::Internal(
+          "decoded value at row " + std::to_string(bad[c] / dim) +
+          ", column " + std::to_string(bad[c] % dim) + " is not finite (" +
+          (std::isnan(v) ? "nan" : v > 0 ? "inf" : "-inf") +
+          "); JSON cannot carry it");
+    }
+    char* const chunk_begin = rows_begin + c * grain * row_bound;
+    const std::size_t length = static_cast<std::size_t>(ends[c] - chunk_begin);
+    if (p != chunk_begin) std::memmove(p, chunk_begin, length);
+    p += length;
+  }
+  p = Put(p, "], \"labels\": [");
+  for (std::size_t i = 0; i < rows.labels.size(); ++i) {
+    if (i > 0) p = Put(p, ", ");
+    p = PutUint(p, rows.labels[i]);
+  }
+  p = Put(p, "]}");
+  out->resize(static_cast<std::size_t>(p - out->data()));
+  return util::Status::OK();
+}
 
 std::string SampleResponseJson(const std::string& model,
                                std::uint64_t generation, bool cached,
                                const data::Dataset& rows) {
   std::string out;
-  // ~20 bytes per value dominates; reserve once to keep the serializer
-  // off the allocator hot path under load.
-  out.reserve(64 + rows.size() * (rows.dim() + 1) * 20);
-  out += "{\"model\": \"" + obs::json::Escape(model) + "\"";
-  out += ", \"generation\": " + std::to_string(generation);
-  out += ", \"n\": " + std::to_string(rows.size());
-  out += ", \"dim\": " + std::to_string(rows.dim());
-  out += ", \"num_classes\": " + std::to_string(rows.num_classes);
-  out += cached ? ", \"cached\": true" : ", \"cached\": false";
-  out += ", \"rows\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += '[';
-    const double* row = rows.features.row_data(i);
-    for (std::size_t j = 0; j < rows.dim(); ++j) {
-      if (j > 0) out += ", ";
-      out += FormatValue(row[j]);
-    }
-    out += ']';
-  }
-  out += "], \"labels\": [";
-  for (std::size_t i = 0; i < rows.labels.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(rows.labels[i]);
-  }
-  out += "]}";
+  const util::Status status =
+      AppendSampleResponseJson(model, generation, cached, rows, &out);
+  if (!status.ok()) return ErrorJson(status.message());
   return out;
 }
 

@@ -44,8 +44,20 @@ util::Result<SampleRequest> ParseSampleRequest(const std::string& body,
 /// {"error": "<message>"} with proper escaping.
 std::string ErrorJson(const std::string& message);
 
-/// Response body for a sample request: row-major features, integer
-/// labels, and enough metadata for a client to interpret the shape.
+/// Appends the response body for a sample request to `*out`: row-major
+/// features, integer labels, and enough metadata for a client to
+/// interpret the shape. Every feature is written as the shortest decimal
+/// that parses back to the same double (std::to_chars), so the bytes
+/// are a pure function of the values. JSON has no spelling for NaN or
+/// infinity: a block holding one is an Internal error (the server
+/// answers 500) and `*out` is left as it was.
+util::Status AppendSampleResponseJson(const std::string& model,
+                                      std::uint64_t generation, bool cached,
+                                      const data::Dataset& rows,
+                                      std::string* out);
+
+/// The AppendSampleResponseJson body as a string; a block it refuses
+/// yields the ErrorJson body naming the non-finite value instead.
 std::string SampleResponseJson(const std::string& model,
                                std::uint64_t generation, bool cached,
                                const data::Dataset& rows);

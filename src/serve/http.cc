@@ -82,9 +82,8 @@ const char* ReasonPhrase(int status) {
   }
 }
 
-std::string HttpResponse::Serialize() const {
-  std::string out;
-  out.reserve(128 + body.size());
+void HttpResponse::AppendHead(std::string* out_ptr) const {
+  std::string& out = *out_ptr;
   out += "HTTP/1.1 ";
   out += std::to_string(status);
   out += ' ';
@@ -106,6 +105,19 @@ std::string HttpResponse::Serialize() const {
   }
   if (close_connection) out += "Connection: close\r\n";
   out += "\r\n";
+}
+
+std::string HttpResponse::SerializeHead() const {
+  std::string out;
+  out.reserve(256);
+  AppendHead(&out);
+  return out;
+}
+
+std::string HttpResponse::Serialize() const {
+  std::string out;
+  out.reserve(256 + body.size());
+  AppendHead(&out);
   out += body;
   return out;
 }

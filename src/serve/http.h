@@ -60,8 +60,16 @@ struct HttpResponse {
   std::string body;
   bool close_connection = false;
 
-  /// Serializes status line + headers (Content-Length always set) + body.
+  /// Status line + headers (Content-Length always set) + the blank line:
+  /// everything before the body, so a writer can send head and body as
+  /// two buffers without concatenating them.
+  std::string SerializeHead() const;
+
+  /// SerializeHead() + body: the full wire bytes.
   std::string Serialize() const;
+
+ private:
+  void AppendHead(std::string* out) const;
 };
 
 /// Stable reason phrase for the status codes this server emits.

@@ -14,6 +14,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "obs/build_info.h"
@@ -41,6 +42,11 @@ namespace {
 // p50/p99 readout and bench_serve's latency report.
 const std::vector<double> kLatencyBounds = {1e-4, 3e-4, 1e-3, 3e-3, 1e-2,
                                             3e-2, 0.1,  0.3,  1.0,  3.0};
+// Per-stage buckets (serve.stage.*_seconds) reach down to 10us: a
+// write is one syscall, a small response formats in microseconds.
+const std::vector<double> kStageBounds = {1e-5, 3e-5, 1e-4, 3e-4,
+                                          1e-3, 3e-3, 1e-2, 3e-2,
+                                          0.1,  0.3,  1.0};
 
 int SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
@@ -64,6 +70,35 @@ HttpResponse JsonResponse(int status, std::string body) {
   HttpResponse response;
   response.status = status;
   response.body = std::move(body);
+  return response;
+}
+
+void AddTraceHeaders(const obs::TraceContext& trace, HttpResponse* response) {
+  response->extra_headers.emplace_back("X-Request-Id",
+                                       obs::TraceIdHex(trace));
+  response->extra_headers.emplace_back("traceparent",
+                                       obs::FormatTraceparent(trace));
+}
+
+// The serialize stage. Fresh answers (batcher thread) and cache hits
+// (loop thread) share it, so both get the same bytes, span and
+// histogram. A block holding a non-finite value becomes a 500.
+HttpResponse SampleResponse(const std::string& model,
+                            std::uint64_t generation, bool cached,
+                            const data::Dataset& rows) {
+  static obs::Histogram* stage = obs::Registry::Global().histogram(
+      "serve.stage.serialize_seconds", kStageBounds);
+  P3GM_TRACE_SPAN("serve.serialize");
+  const std::uint64_t start_ns = obs::NowNs();
+  HttpResponse response;
+  const util::Status status = AppendSampleResponseJson(
+      model, generation, cached, rows, &response.body);
+  if (!status.ok()) {
+    P3GM_LOG(Warning) << "p3gm serve: model \"" << model
+                      << "\": " << status.message();
+    response = JsonResponse(500, ErrorJson(status.message()));
+  }
+  stage->Observe(static_cast<double>(obs::NowNs() - start_ns) * 1e-9);
   return response;
 }
 
@@ -122,11 +157,7 @@ Server::Server(ServerOptions options)
   batcher_ = std::make_unique<Batcher>(
       batch_options, &cache_,
       [this](std::uint64_t ticket, util::Result<data::Dataset> result) {
-        {
-          std::lock_guard<std::mutex> lock(completions_mutex_);
-          completions_.push_back(Completion{ticket, std::move(result)});
-        }
-        Wake();
+        CompleteSample(ticket, std::move(result));
       });
 }
 
@@ -320,7 +351,7 @@ void Server::LoopThread() {
     if (stopping) {
       bool pending_out = false;
       for (const auto& [fd, conn] : connections_) {
-        if (conn->out_offset < conn->out.size() || conn->awaiting_sample ||
+        if (!conn->out.empty() || conn->awaiting_sample ||
             conn->awaiting_profile) {
           pending_out = true;
           break;
@@ -646,9 +677,8 @@ void Server::HandleSample(Connection* conn, const HttpRequest& req) {
       static obs::Counter* hits = registry.counter("serve.cache.hits");
       hits->Add();
       conn->cache_hit = true;
-      Respond(conn, JsonResponse(200, SampleResponseJson(
-                                          sample.model, generation,
-                                          /*cached=*/true, rows)));
+      Respond(conn, SampleResponse(sample.model, generation,
+                                   /*cached=*/true, rows));
       return;
     }
     static obs::Counter* misses = registry.counter("serve.cache.misses");
@@ -667,7 +697,18 @@ void Server::HandleSample(Connection* conn, const HttpRequest& req) {
   job.fill_cache = cacheable;
   job.trace = conn->trace;
   const std::uint64_t ticket = job.ticket;
+  // Registered before the job can complete: the batcher thread formats
+  // the response from it.
+  {
+    std::lock_guard<std::mutex> lock(completions_mutex_);
+    sample_contexts_[ticket] = SampleContext{
+        sample.model, generation, conn->trace, conn->close_after_write};
+  }
   if (!batcher_->Enqueue(std::move(job))) {
+    {
+      std::lock_guard<std::mutex> lock(completions_mutex_);
+      sample_contexts_.erase(ticket);
+    }
     static obs::Counter* overload = registry.counter("serve.overload");
     overload->Add();
     HttpResponse response;
@@ -679,8 +720,6 @@ void Server::HandleSample(Connection* conn, const HttpRequest& req) {
   }
   conn->awaiting_sample = true;
   conn->ticket = ticket;
-  conn->model = sample.model;
-  conn->generation = generation;
   ticket_to_fd_[ticket] = conn->fd;
 }
 
@@ -899,19 +938,11 @@ void Server::DrainCompletions() {
     Connection* conn = conn_it->second.get();
     if (!conn->awaiting_sample || conn->ticket != done.ticket) continue;
     conn->awaiting_sample = false;
-    // Re-enter the request's trace scope: the response (headers, slow
-    // log, latency attribution) belongs to the span that parked here.
+    // Re-enter the request's trace scope: the slow log and latency
+    // attribution belong to the span that parked here. The bytes were
+    // formatted on the batcher thread; the loop only writes them.
     obs::RequestScope request_scope(conn->trace);
-    if (done.result.ok()) {
-      Respond(conn, JsonResponse(
-                        200, SampleResponseJson(conn->model,
-                                                conn->generation,
-                                                /*cached=*/false,
-                                                *done.result)));
-    } else {
-      Respond(conn, JsonResponse(StatusToHttp(done.result.status()),
-                                 ErrorJson(done.result.status().message())));
-    }
+    Send(conn, done.status, std::move(done.message));
     if (connections_.count(fd) == 0) continue;
     // The parked connection may hold a pipelined follow-up request.
     conn->parser.ResetForNext();
@@ -940,29 +971,64 @@ HttpResponse Server::ReloadNow() {
                std::to_string(registry_.size()) + "}");
 }
 
+void Server::CompleteSample(std::uint64_t ticket,
+                            util::Result<data::Dataset> result) {
+  SampleContext context;
+  {
+    std::lock_guard<std::mutex> lock(completions_mutex_);
+    auto node = sample_contexts_.extract(ticket);
+    if (node.empty()) return;  // The connection closed while it ran.
+    context = std::move(node.mapped());
+  }
+  obs::RequestScope request_scope(context.trace);
+  HttpResponse response =
+      result.ok() ? SampleResponse(context.model, context.generation,
+                                   /*cached=*/false, *result)
+                  : JsonResponse(StatusToHttp(result.status()),
+                                 ErrorJson(result.status().message()));
+  AddTraceHeaders(context.trace, &response);
+  response.close_connection = context.close_connection;
+  Completion done;
+  done.ticket = ticket;
+  done.status = response.status;
+  done.message.head = response.SerializeHead();
+  done.message.body = std::move(response.body);
+  {
+    std::lock_guard<std::mutex> lock(completions_mutex_);
+    completions_.push_back(std::move(done));
+  }
+  Wake();
+}
+
 void Server::Respond(Connection* conn, HttpResponse response) {
+  // Every response names its request: parse failures and early
+  // rejections reach here without ProcessRequest having minted an id,
+  // so mint one now. Echoing traceparent lets a propagating client
+  // stitch our server span into its own trace.
+  if (!conn->trace.valid()) conn->trace = obs::MakeRootContext();
+  AddTraceHeaders(conn->trace, &response);
+  if (response.close_connection) conn->close_after_write = true;
+  response.close_connection = conn->close_after_write;
+  OutMessage message;
+  message.head = response.SerializeHead();
+  message.body = std::move(response.body);
+  Send(conn, response.status, std::move(message));
+}
+
+void Server::Send(Connection* conn, int status, OutMessage message) {
   obs::Registry& registry = obs::Registry::Global();
   static obs::Counter* ok2xx = registry.counter("serve.responses.2xx");
   static obs::Counter* err4xx = registry.counter("serve.responses.4xx");
   static obs::Counter* err5xx = registry.counter("serve.responses.5xx");
   static obs::Histogram* latency = registry.histogram(
       "serve.request.latency_seconds", kLatencyBounds);
-  if (response.status < 400) {
+  if (status < 400) {
     ok2xx->Add();
-  } else if (response.status < 500) {
+  } else if (status < 500) {
     err4xx->Add();
   } else {
     err5xx->Add();
   }
-  // Every response names its request: parse failures and early
-  // rejections reach here without ProcessRequest having minted an id,
-  // so mint one now. Echoing traceparent lets a propagating client
-  // stitch our server span into its own trace.
-  if (!conn->trace.valid()) conn->trace = obs::MakeRootContext();
-  response.extra_headers.emplace_back("X-Request-Id",
-                                      obs::TraceIdHex(conn->trace));
-  response.extra_headers.emplace_back("traceparent",
-                                      obs::FormatTraceparent(conn->trace));
   if (conn->request_start_ns != 0) {
     const double seconds =
         static_cast<double>(obs::NowNs() - conn->request_start_ns) * 1e-9;
@@ -984,12 +1050,12 @@ void Server::Respond(Connection* conn, HttpResponse response) {
     }
     obs::FlightRecorder::Global().Record(
         obs::FlightRecorder::EventKind::kRequest, "serve.respond",
-        conn->trace.span_id, static_cast<std::uint64_t>(response.status));
+        conn->trace.span_id, static_cast<std::uint64_t>(status));
     if (options_.slow_request_ms > 0 &&
         seconds * 1000.0 >= static_cast<double>(options_.slow_request_ms)) {
       obs::RequestScope slow_scope(conn->trace);
       P3GM_LOG(Warning) << "p3gm serve: slow request " << conn->endpoint
-                        << " status " << response.status << " took "
+                        << " status " << status << " took "
                         << static_cast<std::uint64_t>(seconds * 1000.0)
                         << " ms (threshold " << options_.slow_request_ms
                         << " ms)";
@@ -1002,39 +1068,59 @@ void Server::Respond(Connection* conn, HttpResponse response) {
   }
   conn->endpoint = "other";
   conn->cache_hit = false;
-  if (response.close_connection) conn->close_after_write = true;
-  response.close_connection = conn->close_after_write;
-  conn->out += response.Serialize();
+  message.queued_ns = obs::NowNs();
+  conn->out.push_back(std::move(message));
   HandleWritable(conn);
 }
 
 void Server::HandleWritable(Connection* conn) {
-  while (conn->out_offset < conn->out.size()) {
-    const ssize_t sent =
-        ::send(conn->fd, conn->out.data() + conn->out_offset,
-               conn->out.size() - conn->out_offset, MSG_NOSIGNAL);
-    if (sent > 0) {
-      conn->out_offset += static_cast<std::size_t>(sent);
-      continue;
+  static obs::Histogram* stage = obs::Registry::Global().histogram(
+      "serve.stage.write_seconds", kStageBounds);
+  while (!conn->out.empty()) {
+    const OutMessage& front = conn->out.front();
+    // What is left of head and body, as one vectored write.
+    struct iovec iov[2];
+    std::size_t iov_count = 0;
+    std::size_t skip = conn->out_offset;
+    for (const std::string* part : {&front.head, &front.body}) {
+      if (skip >= part->size()) {
+        skip -= part->size();
+        continue;
+      }
+      iov[iov_count].iov_base = const_cast<char*>(part->data()) + skip;
+      iov[iov_count].iov_len = part->size() - skip;
+      ++iov_count;
+      skip = 0;
     }
+    // sendmsg is writev with MSG_NOSIGNAL: a vanished peer is an error
+    // return, not a SIGPIPE.
+    struct msghdr msg;
+    std::memset(&msg, 0, sizeof msg);
+    msg.msg_iov = iov;
+    msg.msg_iovlen = iov_count;
+    const ssize_t sent = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
     if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (sent < 0 && errno == EINTR) continue;
-    CloseConnection(conn->fd);
-    return;
-  }
-  if (conn->out_offset >= conn->out.size()) {
-    conn->out.clear();
-    conn->out_offset = 0;
-    if (conn->close_after_write) {
+    if (sent <= 0) {
       CloseConnection(conn->fd);
       return;
     }
+    conn->out_offset += static_cast<std::size_t>(sent);
+    if (conn->out_offset < front.head.size() + front.body.size()) continue;
+    stage->Observe(static_cast<double>(obs::NowNs() - front.queued_ns) *
+                   1e-9);
+    conn->out.pop_front();
+    conn->out_offset = 0;
+  }
+  if (conn->out.empty() && conn->close_after_write) {
+    CloseConnection(conn->fd);
+    return;
   }
   UpdateInterest(conn);
 }
 
 void Server::UpdateInterest(Connection* conn) {
-  const bool want_write = conn->out_offset < conn->out.size();
+  const bool want_write = !conn->out.empty();
   // While a sample or profile is in flight we stop reading:
   // backpressure, and the parked request's response must go out before
   // the next one is read.
@@ -1045,6 +1131,12 @@ void Server::UpdateInterest(Connection* conn) {
 void Server::CloseConnection(int fd) {
   const auto it = connections_.find(fd);
   if (it == connections_.end()) return;
+  if (it->second->awaiting_sample) {
+    // The batcher may still be running this job; without its context
+    // the completion skips formatting.
+    std::lock_guard<std::mutex> lock(completions_mutex_);
+    sample_contexts_.erase(it->second->ticket);
+  }
   if (it->second->awaiting_sample || it->second->awaiting_profile) {
     ticket_to_fd_.erase(it->second->ticket);
   }

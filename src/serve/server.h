@@ -4,11 +4,13 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "data/dataset.h"
@@ -71,10 +73,12 @@ struct ServerOptions {
 /// The `p3gm serve` daemon: a single-threaded epoll/poll event loop
 /// (accept, parse, route, write) plus one batching executor thread that
 /// runs coalesced decoder passes (which in turn fan out through
-/// util::ThreadPool inside the gemm kernels). Sample requests park
-/// their connection until the batcher completes them via the wakeup
-/// pipe; every other endpoint answers inline. See docs/serving.md for
-/// the HTTP API and operational semantics.
+/// util::ThreadPool inside the gemm kernels) and formats each sample
+/// response — body and head — before handing it back. Sample requests
+/// park their connection until the batcher completes them via the
+/// wakeup pipe, and the loop only writes the finished bytes; every other
+/// endpoint answers inline. See docs/serving.md for the HTTP API and
+/// operational semantics.
 ///
 /// Lifecycle: Init (bind + load packages) -> Start (spawn threads) ->
 /// Stop (graceful drain; also run by the destructor). Stop() stops
@@ -115,20 +119,25 @@ class Server {
   static void InstallSignalHandlers(Server* server);
 
  private:
+  /// One response ready for the wire. Head and body stay separate
+  /// buffers so they leave in one writev without being concatenated.
+  struct OutMessage {
+    std::string head;
+    std::string body;
+    std::uint64_t queued_ns = 0;  // Start of the write stage.
+  };
+
   struct Connection {
     int fd = -1;
     HttpParser parser;
-    std::string out;            // Serialized, not yet written.
-    std::size_t out_offset = 0;
+    std::deque<OutMessage> out;  // Not yet (fully) written, in order.
+    std::size_t out_offset = 0;  // Bytes of out.front() already sent.
     bool close_after_write = false;
     bool awaiting_sample = false;
     /// Parked on /v1/profile: the connection waits (no reads, like a
     /// parked sample) until the profile worker pushes its completion.
     bool awaiting_profile = false;
     std::uint64_t ticket = 0;
-    // Context of the in-flight sample request, for response assembly.
-    std::string model;
-    std::uint64_t generation = 0;
     std::uint64_t request_start_ns = 0;
     // Current request's trace identity (ingested from a traceparent
     // header or freshly minted) plus latency-attribution facets; all
@@ -141,9 +150,23 @@ class Server {
         : fd(fd_in), parser(limits) {}
   };
 
+  /// What the batcher thread needs to format a parked sample request's
+  /// response, registered by the loop thread before the job is queued.
+  /// Removed by the completion, or by CloseConnection when the client
+  /// goes away first (the completion then skips formatting).
+  struct SampleContext {
+    std::string model;
+    std::uint64_t generation = 0;
+    obs::TraceContext trace;
+    bool close_connection = false;
+  };
+
+  /// A sample response formatted on the batcher thread, waiting for the
+  /// loop thread to write it.
   struct Completion {
     std::uint64_t ticket = 0;
-    util::Result<data::Dataset> result;
+    int status = 200;
+    OutMessage message;
   };
 
   /// A finished /v1/profile capture, ready to flush to its parked
@@ -171,7 +194,15 @@ class Server {
   /// Fire-and-forget burst capture for --profile-on-slow; skipped
   /// (counted) when a profile is already running.
   void MaybeStartSlowProfile();
+  /// Batcher-thread completion: formats the response for `ticket` and
+  /// hands it to the loop thread.
+  void CompleteSample(std::uint64_t ticket,
+                      util::Result<data::Dataset> result);
   void Respond(Connection* conn, HttpResponse response);
+  /// Books the finished request (status counters, latency histograms,
+  /// slow-request log), queues its bytes and writes what the socket
+  /// takes.
+  void Send(Connection* conn, int status, OutMessage message);
   void UpdateInterest(Connection* conn);
   void CloseConnection(int fd);
   void DrainCompletions();
@@ -201,8 +232,10 @@ class Server {
   std::uint64_t next_ticket_ = 1;
   std::uint64_t next_stream_index_ = 0;
 
+  // Shared by the loop thread and the batcher thread.
   std::mutex completions_mutex_;
   std::vector<Completion> completions_;
+  std::unordered_map<std::uint64_t, SampleContext> sample_contexts_;
 
   // One profile at a time, process-wide: profile_busy_ is the admission
   // gate (exchange true = claimed); the single worker-thread slot is

@@ -20,6 +20,7 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve_test_util.h"
+#include "util/thread_pool.h"
 
 namespace p3gm {
 namespace serve {
@@ -36,11 +37,13 @@ class ServeDeterminismTest : public ::testing::Test {
   }
 
   std::unique_ptr<Server> StartServer(std::size_t max_batch,
-                                      bool planned_decode = true) {
+                                      bool planned_decode = true,
+                                      std::size_t cache_entries = 0) {
     ServerOptions options;
     options.port = 0;
     options.max_batch = max_batch;
     options.planned_decode = planned_decode;
+    options.cache_entries = cache_entries;
     auto server = std::make_unique<Server>(options);
     P3GM_CHECK(server->Init({pkg_path_}).ok());
     P3GM_CHECK(server->Start().ok());
@@ -64,8 +67,8 @@ TEST_F(ServeDeterminismTest, RepeatedSeededRequestsAreBitIdentical) {
   auto second = client.Post("/v1/sample", SampleBody(42, 10));
   ASSERT_TRUE(first.ok() && second.ok());
   ASSERT_EQ(first->status, 200);
-  // Byte-for-byte equality of the serialized body (%.17g round-trips
-  // doubles exactly, so equal bytes == equal values).
+  // Byte-for-byte equality of the serialized body (every value is the
+  // shortest decimal that round-trips, so equal bytes == equal values).
   EXPECT_EQ(first->body, second->body);
 }
 
@@ -125,6 +128,48 @@ TEST_F(ServeDeterminismTest, SeededResultIndependentOfCoalescing) {
           << "round " << round << " client " << i;
     }
   }
+}
+
+TEST_F(ServeDeterminismTest, SeededBodyIndependentOfPoolWidth) {
+  // 1500 rows x 4 features spans several formatting chunks, so the pool
+  // width changes how the body is split across threads, never its bytes.
+  std::vector<std::string> bodies;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    util::SetNumThreads(threads);
+    auto server = StartServer(/*max_batch=*/8);
+    HttpClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+    auto response = client.Post("/v1/sample", SampleBody(77, 1500));
+    ASSERT_TRUE(response.ok());
+    ASSERT_EQ(response->status, 200);
+    bodies.push_back(response->body);
+  }
+  util::SetNumThreads(0);
+  EXPECT_EQ(bodies[1], bodies[0]) << "2 threads vs 1";
+  EXPECT_EQ(bodies[2], bodies[0]) << "4 threads vs 1";
+}
+
+TEST_F(ServeDeterminismTest, CachedAnswerMatchesFreshBytes) {
+  // The cache-hit path (loop thread) and the fresh path (batcher thread)
+  // share one serializer: the same rows give the same bytes, apart from
+  // the "cached" flag itself.
+  auto server = StartServer(/*max_batch=*/8, /*planned_decode=*/true,
+                            /*cache_entries=*/4);
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+  const std::string body = "{\"model\": \"alpha\", \"n\": 600}";
+  auto fresh = client.Post("/v1/sample", body);
+  auto cached = client.Post("/v1/sample", body);
+  ASSERT_TRUE(fresh.ok() && cached.ok());
+  ASSERT_EQ(fresh->status, 200);
+  ASSERT_EQ(cached->status, 200);
+  const std::string kFresh = "\"cached\": false";
+  const std::string kCached = "\"cached\": true";
+  std::string as_fresh = cached->body;
+  const std::size_t flag = as_fresh.find(kCached);
+  ASSERT_NE(flag, std::string::npos) << "second answer not from the cache";
+  as_fresh.replace(flag, kCached.size(), kFresh);
+  EXPECT_EQ(as_fresh, fresh->body);
 }
 
 TEST_F(ServeDeterminismTest, DistinctSeedsDiffer) {

@@ -4,7 +4,9 @@
 // caching, hot-reload, overload, error mapping — plus lifecycle
 // hygiene: clean shutdown must not leak a single file descriptor.
 
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -14,6 +16,7 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve_test_util.h"
+#include "stats/gmm.h"
 
 namespace p3gm {
 namespace serve {
@@ -114,6 +117,46 @@ TEST_F(ServeE2eTest, SampleReturnsRequestedShape) {
   for (const obs::json::Value& label : labels->items) {
     EXPECT_TRUE(label.number_value == 0.0 || label.number_value == 1.0);
   }
+}
+
+TEST_F(ServeE2eTest, NonFiniteDecodeAnswers500NotInvalidJson) {
+  // A decoder whose feature 1 comes out NaN: JSON has no token for it,
+  // so the request fails loudly instead of shipping "nan".
+  const std::size_t dl = 3, h = 8, d = 6;
+  linalg::Matrix w1(dl, h, 0.1), b1(1, h, 0.0), w2(h, d, 0.1),
+      b2(1, d, 0.0);
+  b2(0, 1) = std::numeric_limits<double>::quiet_NaN();
+  linalg::Matrix means(2, dl, 0.0), variances(2, dl, 0.5);
+  auto prior = stats::GaussianMixture::Create({0.5, 0.5}, means, variances);
+  ASSERT_TRUE(prior.ok());
+  auto pkg = core::ReleasePackage::FromParts(
+      "broken", /*num_classes=*/2, core::DecoderType::kBernoulli,
+      std::move(*prior), std::move(w1), std::move(b1), std::move(w2),
+      std::move(b2));
+  ASSERT_TRUE(pkg.ok());
+  const std::string broken_path = dir_.WritePackage(*pkg, "broken");
+  ServerOptions options;
+  options.quality.enabled = false;  // Only the response path is tested.
+  StartServer(options, {pkg_path_, broken_path});
+
+  auto response = client_.Post(
+      "/v1/sample", "{\"model\": \"broken\", \"n\": 3, \"seed\": 1}");
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->status, 500);
+  obs::json::Value body = ParseJson(response->body);
+  ASSERT_NE(body.Find("error"), nullptr) << response->body;
+  EXPECT_NE(body.Find("error")->string_value.find("not finite"),
+            std::string::npos)
+      << response->body;
+  if (obs::kCompiledIn) {
+    EXPECT_EQ(
+        obs::Registry::Global().counter("serve.responses.5xx")->value(), 1u);
+  }
+  // The connection and the healthy model keep working.
+  auto healthy =
+      client_.Post("/v1/sample", "{\"model\": \"alpha\", \"n\": 3}");
+  ASSERT_TRUE(healthy.ok()) << healthy.status();
+  EXPECT_EQ(healthy->status, 200);
 }
 
 TEST_F(ServeE2eTest, KeepAliveServesSequentialRequests) {

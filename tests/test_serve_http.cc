@@ -2,16 +2,25 @@
 // malformed-input corpus for the incremental HttpParser, the strict
 // UTF-8 validator, and the sample-request JSON schema (including
 // deeply nested payloads, which must be rejected by the depth-limited
-// parser rather than recursing to a crash). These run under ASan/UBSan
-// in the sanitizer CI config: the contract is "4xx status, never a
-// crash" for every byte sequence here.
+// parser rather than recursing to a crash), and the sample-response
+// value contract (exact round trip, no non-JSON tokens). These run under
+// ASan/UBSan in the sanitizer CI config: the contract is "4xx status,
+// never a crash" for every byte sequence here.
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "data/dataset.h"
 #include "gtest/gtest.h"
+#include "obs/json.h"
 #include "serve/api.h"
 #include "serve/http.h"
+#include "util/thread_pool.h"
 
 namespace p3gm {
 namespace serve {
@@ -216,6 +225,16 @@ TEST(HttpResponse, SerializesStatusHeadersAndLength) {
   EXPECT_EQ(wire.substr(wire.size() - 6), "\r\n\r\n{}");
 }
 
+TEST(HttpResponse, HeadIsEverythingBeforeTheBody) {
+  HttpResponse response;
+  response.body = "{\"x\": 1}";
+  response.extra_headers.emplace_back("X-Request-Id", "abc");
+  const std::string head = response.SerializeHead();
+  EXPECT_EQ(head.substr(head.size() - 4), "\r\n\r\n");
+  EXPECT_NE(head.find("Content-Length: 8\r\n"), std::string::npos);
+  EXPECT_EQ(response.Serialize(), head + response.body);
+}
+
 // ---------------------------------------------------------------------
 // UTF-8 validation.
 
@@ -312,6 +331,131 @@ TEST(ParseSampleRequest, RejectsDeeplyNestedJson) {
 
 TEST(ErrorJson, EscapesMessage) {
   EXPECT_EQ(ErrorJson("a \"b\"\n"), "{\"error\": \"a \\\"b\\\"\\n\"}");
+}
+
+// ---------------------------------------------------------------------
+// Sample response values: shortest round-trip decimals that parse back
+// to the exact double, and never a non-JSON token.
+
+// A block of `values` laid out row-major with `dim` columns.
+data::Dataset Block(const std::vector<double>& values, std::size_t dim) {
+  data::Dataset rows;
+  rows.features = linalg::Matrix(values.size() / dim, dim);
+  std::copy(values.begin(), values.end(), rows.features.data());
+  rows.labels.assign(rows.features.rows(), 1);
+  return rows;
+}
+
+// Parses a response body and returns its rows flattened row-major.
+std::vector<double> ParsedValues(const std::string& body) {
+  obs::json::Value root;
+  std::string error;
+  EXPECT_TRUE(obs::json::Parse(body, &root, &error)) << error;
+  std::vector<double> values;
+  const obs::json::Value* rows = root.Find("rows");
+  if (rows == nullptr) return values;
+  for (const obs::json::Value& row : rows->items) {
+    for (const obs::json::Value& cell : row.items) {
+      values.push_back(cell.number_value);
+    }
+  }
+  return values;
+}
+
+std::uint64_t Bits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+TEST(SampleResponseJson, EdgeValuesRoundTripExactly) {
+  using limits = std::numeric_limits<double>;
+  const std::vector<double> values = {
+      0.0, -0.0, limits::denorm_min(), -limits::denorm_min(),
+      limits::min(), limits::max(), -limits::max(), limits::epsilon(),
+      0.1, -0.1, 1.0 / 3.0, 0.1 + 0.2, std::nextafter(1.0, 2.0), 1e23,
+      123456789.0, 1e-7};
+  const std::string body =
+      SampleResponseJson("m", 3, false, Block(values, 4));
+  const std::vector<double> parsed = ParsedValues(body);
+  ASSERT_EQ(parsed.size(), values.size()) << body;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(Bits(parsed[i]), Bits(values[i]))
+        << "value " << i << " in " << body;
+  }
+  // Shortest form: no digits beyond what the round trip needs, and the
+  // full 17 significant digits where it needs them.
+  EXPECT_NE(body.find("[0, -0, 5e-324, -5e-324]"), std::string::npos)
+      << body;
+  EXPECT_NE(body.find("[0.1, -0.1, "), std::string::npos) << body;
+  EXPECT_NE(body.find("0.30000000000000004"), std::string::npos) << body;
+  EXPECT_NE(body.find("1.0000000000000002"), std::string::npos) << body;
+  EXPECT_NE(body.find("1.7976931348623157e+308"), std::string::npos)
+      << body;
+}
+
+TEST(SampleResponseJson, ManyChunkBlockRoundTripsAtEveryPoolWidth) {
+  // Enough values for several formatting chunks, spread over magnitudes.
+  const std::size_t kRows = 700, kDim = 13;
+  std::vector<double> values(kRows * kDim);
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (double& v : values) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    const double unit = static_cast<double>(state >> 11) * 0x1.0p-53;
+    v = (unit - 0.5) * std::pow(10.0, static_cast<int>(state % 41) - 20);
+  }
+  const data::Dataset rows = Block(values, kDim);
+  std::vector<std::string> bodies;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    util::SetNumThreads(threads);
+    bodies.push_back(SampleResponseJson("m", 1, false, rows));
+  }
+  util::SetNumThreads(0);
+  EXPECT_EQ(bodies[1], bodies[0]);
+  EXPECT_EQ(bodies[2], bodies[0]);
+  const std::vector<double> parsed = ParsedValues(bodies[0]);
+  ASSERT_EQ(parsed.size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(Bits(parsed[i]), Bits(values[i])) << "value " << i;
+  }
+}
+
+TEST(SampleResponseJson, NonFiniteValuesAreRefused) {
+  using limits = std::numeric_limits<double>;
+  for (const double bad :
+       {limits::quiet_NaN(), limits::infinity(), -limits::infinity()}) {
+    const data::Dataset rows = Block({0.5, 0.25, 0.75, bad}, 2);
+    std::string out = "kept";
+    const util::Status status =
+        AppendSampleResponseJson("m", 1, false, rows, &out);
+    EXPECT_EQ(status.code(), util::StatusCode::kInternal) << bad;
+    EXPECT_NE(status.message().find("row 1, column 1"), std::string::npos)
+        << status.message();
+    EXPECT_EQ(out, "kept") << "a refused block must leave *out untouched";
+    // The string form answers with a well-formed error body instead.
+    obs::json::Value root;
+    std::string error;
+    const std::string body = SampleResponseJson("m", 1, false, rows);
+    ASSERT_TRUE(obs::json::Parse(body, &root, &error)) << body;
+    EXPECT_NE(root.Find("error"), nullptr) << body;
+  }
+}
+
+TEST(SampleResponseJson, FirstNonFiniteValueIsReportedAcrossChunks) {
+  // Non-finite values in two different formatting chunks: the message
+  // names the first in row-major order, whichever thread found it.
+  std::vector<double> values(2000 * 4, 0.5);
+  values[1500 * 4 + 2] = std::numeric_limits<double>::infinity();
+  values[900 * 4 + 3] = std::numeric_limits<double>::quiet_NaN();
+  std::string out;
+  const util::Status status =
+      AppendSampleResponseJson("m", 1, false, Block(values, 4), &out);
+  EXPECT_NE(status.message().find("row 900, column 3 is not finite (nan)"),
+            std::string::npos)
+      << status.message();
+  EXPECT_TRUE(out.empty());
 }
 
 }  // namespace

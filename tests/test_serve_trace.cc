@@ -253,6 +253,36 @@ TEST_F(ServeTraceTest, BatchDecodeSpanLinksEveryCoalescedRequest) {
   }
 }
 
+TEST_F(ServeTraceTest, SerializeSpanJoinsTheRequestTrace) {
+  if (!obs::kCompiledIn) {
+    GTEST_SKIP() << "observability compiled out";
+  }
+  ServerOptions options;
+  options.cache_entries = 8;
+  StartServer(options);
+  const std::string body = "{\"model\": \"alpha\", \"n\": 4}";
+  std::set<std::string> response_ids;
+  for (int i = 0; i < 2; ++i) {  // Fresh (batcher thread), then cached.
+    auto response = client_.Post("/v1/sample", body);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_EQ(response->status, 200);
+    const std::string* id = response->FindHeader("X-Request-Id");
+    ASSERT_NE(id, nullptr);
+    response_ids.insert(*id);
+  }
+  ASSERT_EQ(response_ids.size(), 2u);
+  std::set<std::string> serialize_trace_ids;
+  for (const auto& event : obs::TraceRecorder::Global().Events()) {
+    if (std::string(event.name) != "serve.serialize") continue;
+    EXPECT_TRUE(event.has_context());
+    obs::TraceContext ctx;
+    ctx.trace_hi = event.trace_hi;
+    ctx.trace_lo = event.trace_lo;
+    serialize_trace_ids.insert(obs::TraceIdHex(ctx));
+  }
+  EXPECT_EQ(serialize_trace_ids, response_ids);
+}
+
 TEST_F(ServeTraceTest, MetricsPrometheusFormat) {
   if (!obs::kCompiledIn) {
     GTEST_SKIP() << "observability compiled out";
@@ -289,6 +319,17 @@ TEST_F(ServeTraceTest, MetricsPrometheusFormat) {
   EXPECT_NE(text.find("serve_request_latency_seconds_count"),
             std::string::npos);
   EXPECT_NE(text.find("obs_flight_recorded_events"), std::string::npos);
+  // Per-stage histograms: serialization (fresh and cached answers) and
+  // the write of every response.
+  for (const char* stage : {"serve_stage_serialize_seconds",
+                            "serve_stage_write_seconds"}) {
+    EXPECT_NE(text.find(std::string("# TYPE ") + stage + " histogram"),
+              std::string::npos)
+        << stage << "\n" << text;
+    EXPECT_NE(text.find(std::string(stage) + "_bucket{le=\"+Inf\"}"),
+              std::string::npos)
+        << stage << "\n" << text;
+  }
   // Exactly one # TYPE line per metric family.
   EXPECT_EQ(text.find("# TYPE serve_request_latency_seconds histogram"),
             text.rfind("# TYPE serve_request_latency_seconds histogram"));

@@ -45,6 +45,10 @@ echo "== profiler signal-handler safety =="
 ctest --test-dir "$build_dir" -L profile \
   --output-on-failure || failures=$((failures + 1))
 
+echo "== serving path (parser hardening, response formatting, e2e) =="
+ctest --test-dir "$build_dir" -L serve \
+  --output-on-failure -j4 || failures=$((failures + 1))
+
 if [ "${P3GM_AUDIT_SANITIZE:-0}" != "0" ]; then
   asan_dir="$repo_root/build-asan"
   echo "== audit suite under ASan+UBSan ($asan_dir) =="
@@ -62,6 +66,9 @@ if [ "${P3GM_AUDIT_SANITIZE:-0}" != "0" ]; then
   echo "== profiler signal-handler safety under ASan+UBSan ($asan_dir) =="
   ctest --test-dir "$asan_dir" -L profile \
     --output-on-failure || failures=$((failures + 1))
+  echo "== serving path under ASan+UBSan ($asan_dir) =="
+  ctest --test-dir "$asan_dir" -L serve \
+    --output-on-failure -j4 || failures=$((failures + 1))
 fi
 
 if [ "$failures" -ne 0 ]; then
