@@ -1,11 +1,11 @@
 // Decoder synthesis throughput: the compiled inference runtime
 // (infer::DecoderPlan — packed weights, arena buffers, fused SIMD
 // kernels; see docs/inference.md) against the reference nn/linalg
-// forward pass, across batch sizes. Both paths run through
-// ReleasePackage::DecodeLatent with the planned-decode switch flipped,
-// so each side pays its true end-to-end cost (the reference path's
-// per-layer Matrix allocations included) — exactly what `p3gm serve`
-// pays per coalesced batch.
+// forward pass, across batch sizes. The planned side runs
+// ReleasePackage::DecodeLatentInto — exactly what `p3gm serve` pays per
+// coalesced batch — and the reference side ReferenceDecodeInto, so each
+// pays its true end-to-end cost (the reference path's per-layer Matrix
+// allocations included).
 //
 // The two runtimes are contractually bit-identical; this bench asserts
 // that on every batch size before timing anything, so a kernel
@@ -21,7 +21,6 @@
 #include "bench_common.h"
 #include "core/release.h"
 #include "infer/kernels.h"
-#include "infer/plan.h"
 #include "linalg/matrix.h"
 #include "stats/gmm.h"
 #include "util/csv.h"
@@ -63,14 +62,14 @@ core::ReleasePackage MakeDecodePackage() {
   return std::move(*pkg);
 }
 
-// Decodes through DecodeLatentInto — the serve batcher's call — so each
-// runtime is measured with the same reusable-buffer contract the
-// production path has. The reference path still allocates its
-// intermediate matrices internally; that is its real per-batch cost.
+// Decodes through DecodeLatentInto — the serve batcher's call — or the
+// ReferenceDecodeInto oracle, each with the same caller-owned output
+// buffer. The reference path still allocates its intermediate matrices
+// internally; that is its real per-batch cost.
 void DecodeOnce(const core::ReleasePackage& pkg, const linalg::Matrix& z,
                 bool planned, linalg::Matrix* out) {
-  infer::SetPlannedDecodeEnabled(planned);
-  const util::Status status = pkg.DecodeLatentInto(z, out);
+  const util::Status status = planned ? pkg.DecodeLatentInto(z, out)
+                                      : pkg.ReferenceDecodeInto(z, out);
   P3GM_CHECK_MSG(status.ok(), status.ToString().c_str());
 }
 
@@ -146,7 +145,6 @@ int main() {
                        }});
   }
   run.suite().RunInterleaved(benches);
-  infer::SetPlannedDecodeEnabled(true);
 
   // Samples/sec from the median rep of each configuration.
   auto rows_per_second = [&](const std::string& name,

@@ -184,8 +184,14 @@ GoldenCompareResult CompareGoldenTrace(const std::string& path) {
   return CompareLinesAgainstFile(GoldenPgmTraceLines(), path);
 }
 
-std::vector<std::string> GoldenDecodeLines() {
+std::vector<std::string> GoldenDecodeLines(bool reference) {
   const core::ReleasePackage pkg = GoldenDecodePackage();
+  auto decode = [&](const linalg::Matrix& z) -> util::Result<linalg::Matrix> {
+    linalg::Matrix out;
+    P3GM_RETURN_NOT_OK(reference ? pkg.ReferenceDecodeInto(z, &out)
+                                 : pkg.DecodeLatentInto(z, &out));
+    return out;
+  };
   std::vector<std::string> lines;
   lines.emplace_back(kDecodeHeader);
 
@@ -199,7 +205,7 @@ std::vector<std::string> GoldenDecodeLines() {
                 0.35 * static_cast<double>(j);
     }
   }
-  const util::Result<linalg::Matrix> decoded = pkg.DecodeLatent(z);
+  const util::Result<linalg::Matrix> decoded = decode(z);
   if (!decoded.ok()) {
     lines.push_back(std::string("error,") + decoded.status().message());
     return lines;
@@ -211,21 +217,24 @@ std::vector<std::string> GoldenDecodeLines() {
   }
 
   // Fixed-seed end-to-end synthesis: prior draws + decode + one-hot
-  // label split, exactly what `p3gm serve` runs per request.
+  // label split, exactly what Generate() and `p3gm serve` run per
+  // request.
   util::Rng rng(7777);
-  const util::Result<data::Dataset> generated = pkg.Generate(12, &rng);
-  if (!generated.ok()) {
-    lines.push_back(std::string("error,") + generated.status().message());
+  util::Result<linalg::Matrix> outputs = decode(pkg.SampleLatent(12, &rng));
+  if (!outputs.ok()) {
+    lines.push_back(std::string("error,") + outputs.status().message());
     return lines;
   }
-  const linalg::Matrix& f = generated->features;
+  const data::Dataset generated =
+      pkg.AssembleRows(std::move(outputs).ValueOrDie());
+  const linalg::Matrix& f = generated.features;
   for (std::size_t i = 0; i < f.rows(); ++i) {
     lines.push_back(
         FormatValueRow("sample", i, f.data() + i * f.cols(), f.cols()));
   }
   std::ostringstream labels;
   labels << "labels";
-  for (const std::size_t l : generated->labels) labels << ',' << l;
+  for (const std::size_t l : generated.labels) labels << ',' << l;
   lines.push_back(labels.str());
   return lines;
 }
@@ -237,8 +246,9 @@ bool WriteGoldenDecode(const std::string& path) {
   return static_cast<bool>(out);
 }
 
-GoldenCompareResult CompareGoldenDecode(const std::string& path) {
-  return CompareLinesAgainstFile(GoldenDecodeLines(), path);
+GoldenCompareResult CompareGoldenDecode(const std::string& path,
+                                        bool reference) {
+  return CompareLinesAgainstFile(GoldenDecodeLines(reference), path);
 }
 
 }  // namespace audit

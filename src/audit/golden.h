@@ -44,22 +44,23 @@ GoldenCompareResult CompareGoldenTrace(const std::string& path);
 /// Golden-decode fixture for the synthesis path: a fixed ReleasePackage
 /// assembled from explicit deterministic weights (no training pipeline),
 /// exercised two ways:
-///   decode,<i>,<v0>,...   deterministic latent grid -> DecodeLatent
+///   decode,<i>,<v0>,...   deterministic latent grid -> decoder
 ///   sample,<i>,<v0>,...   fixed-seed Generate() feature rows
 ///   labels,<l0>,...       labels decoded from the one-hot block
 /// Every double is %.17g, so the file pins the decoder forward pass
-/// bit-for-bit. DecodeLatent routes through the compiled infer plan when
-/// enabled and the reference nn path otherwise; both must reproduce this
-/// file exactly (the planned-runtime equivalence contract,
-/// docs/inference.md).
-std::vector<std::string> GoldenDecodeLines();
+/// bit-for-bit. The decoder is the served one (DecodeLatentInto, the
+/// compiled infer plan) unless `reference` selects the oracle
+/// (ReferenceDecodeInto); both must reproduce this file exactly (the
+/// planned-runtime equivalence contract, docs/inference.md).
+std::vector<std::string> GoldenDecodeLines(bool reference = false);
 
 /// Writes the decode fixture to `path`. Returns false on I/O failure.
 bool WriteGoldenDecode(const std::string& path);
 
 /// Regenerates the decode fixture in-process and compares it against the
 /// checked-in file at `path` (normally tests/golden/decode_small.golden).
-GoldenCompareResult CompareGoldenDecode(const std::string& path);
+GoldenCompareResult CompareGoldenDecode(const std::string& path,
+                                        bool reference = false);
 
 }  // namespace audit
 }  // namespace p3gm

@@ -225,49 +225,26 @@ util::Result<linalg::Matrix> ReleasePackage::DecodeLatent(
   return out;
 }
 
-util::Status ReleasePackage::DecodeLatentInto(const linalg::Matrix& z,
-                                              linalg::Matrix* out) const {
-  P3GM_CHECK(out != nullptr);
+util::Status ReleasePackage::CheckLatent(const linalg::Matrix& z) const {
   P3GM_RETURN_NOT_OK(Validate());
   if (z.cols() != latent_dim()) {
     return util::Status::InvalidArgument(
         "ReleasePackage: latent dimension mismatch");
   }
-  // Planned path: the pre-compiled infer::DecoderPlan runs the same
-  // forward pass through packed weights, arena buffers, and fused
-  // kernels. Bit-identical to the reference sequence below by the
-  // accumulation-order contract (docs/inference.md); the reference is
-  // kept as the escape hatch (`p3gm serve --no-planned-decode`,
-  // P3GM_NO_PLANNED_DECODE=1) and as the oracle the equivalence suite
-  // pins the planned runtime against.
-  if (plan_ != nullptr && infer::PlannedDecodeEnabled() && z.rows() > 0) {
-    P3GM_RETURN_NOT_OK(plan_->Execute(z, out));
-  } else {
-    linalg::Matrix h = linalg::Matmul(z, w1_);
-    linalg::AddRowVector(b1_.Row(0), &h);
-    double* hd = h.data();
-    for (std::size_t i = 0; i < h.size(); ++i) {
-      if (hd[i] < 0.0) hd[i] = 0.0;  // ReLU.
-    }
-    linalg::Matrix logits = linalg::Matmul(h, w2_);
-    linalg::AddRowVector(b2_.Row(0), &logits);
-    double* ld = logits.data();
-    if (decoder_type_ == DecoderType::kBernoulli) {
-      for (std::size_t i = 0; i < logits.size(); ++i) {
-        ld[i] = nn::SigmoidScalar(ld[i]);
-      }
-    } else {
-      for (std::size_t i = 0; i < logits.size(); ++i) {
-        ld[i] = std::clamp(ld[i], 0.0, 1.0);
-      }
-    }
-    *out = std::move(logits);
-  }
+  return util::Status::OK();
+}
+
+util::Status ReleasePackage::DecodeLatentInto(const linalg::Matrix& z,
+                                              linalg::Matrix* out) const {
+  P3GM_CHECK(out != nullptr);
+  P3GM_RETURN_NOT_OK(CheckLatent(z));
+  // Every validated package carries a plan (the factories compile it
+  // right after Validate), and Execute handles the empty batch.
+  P3GM_RETURN_NOT_OK(plan_->Execute(z, out));
   // Audit negative control: a constant post-activation shift of one
   // output column (quality-drift detection must catch exactly this).
-  // Applied after either runtime so the perturbation is identical under
-  // planned and reference decode; compiles to nothing when fault
-  // injection is off, and is branch-predicted away when idle.
+  // Compiles to nothing when fault injection is off, and is
+  // branch-predicted away when idle.
   const double bias_shift = audit::DecoderBiasShift();
   if (bias_shift != 0.0) {
     const std::size_t col = audit::DecoderBiasFeature();
@@ -277,6 +254,32 @@ util::Status ReleasePackage::DecodeLatentInto(const linalg::Matrix& z,
       }
     }
   }
+  return util::Status::OK();
+}
+
+util::Status ReleasePackage::ReferenceDecodeInto(const linalg::Matrix& z,
+                                                 linalg::Matrix* out) const {
+  P3GM_CHECK(out != nullptr);
+  P3GM_RETURN_NOT_OK(CheckLatent(z));
+  linalg::Matrix h = linalg::Matmul(z, w1_);
+  linalg::AddRowVector(b1_.Row(0), &h);
+  double* hd = h.data();
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    if (hd[i] < 0.0) hd[i] = 0.0;  // ReLU.
+  }
+  linalg::Matrix logits = linalg::Matmul(h, w2_);
+  linalg::AddRowVector(b2_.Row(0), &logits);
+  double* ld = logits.data();
+  if (decoder_type_ == DecoderType::kBernoulli) {
+    for (std::size_t i = 0; i < logits.size(); ++i) {
+      ld[i] = nn::SigmoidScalar(ld[i]);
+    }
+  } else {
+    for (std::size_t i = 0; i < logits.size(); ++i) {
+      ld[i] = std::clamp(ld[i], 0.0, 1.0);
+    }
+  }
+  *out = std::move(logits);
   return util::Status::OK();
 }
 

@@ -78,13 +78,22 @@ class ReleasePackage {
   util::Result<linalg::Matrix> DecodeLatent(const linalg::Matrix& z) const;
 
   /// DecodeLatent variant that writes into a caller-owned buffer,
-  /// reallocating only on shape mismatch. Bit-identical to DecodeLatent
-  /// under either decode runtime; it exists so a steady-state serving
-  /// loop can reuse one output buffer across batches instead of paying
-  /// a multi-megabyte allocation plus zero-fill (and, at those sizes,
-  /// an mmap/page-fault round trip) on every decode.
+  /// reallocating only on shape mismatch. Bit-identical to DecodeLatent;
+  /// it exists so a steady-state serving loop can reuse one output
+  /// buffer across batches instead of paying a multi-megabyte allocation
+  /// plus zero-fill (and, at those sizes, an mmap/page-fault round trip)
+  /// on every decode. Runs the compiled plan().
   util::Status DecodeLatentInto(const linalg::Matrix& z,
                                 linalg::Matrix* out) const;
+
+  /// The reference forward pass (linalg::Matmul -> AddRowVector -> ReLU
+  /// -> Matmul -> AddRowVector -> head), the oracle the compiled plan is
+  /// pinned against: bit-identical to DecodeLatentInto by the
+  /// accumulation-order contract (docs/inference.md). Serving never
+  /// calls it; the equivalence tests and decode benches do. `*out` is
+  /// replaced.
+  util::Status ReferenceDecodeInto(const linalg::Matrix& z,
+                                   linalg::Matrix* out) const;
 
   /// Splits decoded outputs into a Dataset (labels detached from the
   /// trailing one-hot block when num_classes > 0).
@@ -100,9 +109,9 @@ class ReleasePackage {
   const stats::GaussianMixture& prior() const { return prior_; }
 
   /// The compiled forward-execution plan (src/infer) DecodeLatent runs
-  /// through when infer::PlannedDecodeEnabled(). Compiled eagerly by
-  /// every factory; null only for a default-constructed package. The
-  /// plan is immutable and shared by copies of the package.
+  /// through. Compiled eagerly by every factory; null only for a
+  /// default-constructed package. The plan is immutable and shared by
+  /// copies of the package.
   const infer::DecoderPlan* plan() const { return plan_.get(); }
 
   /// Reference quality fingerprint of this model's output distribution
@@ -128,6 +137,8 @@ class ReleasePackage {
 
  private:
   util::Status Validate() const;
+  /// Validate() plus the latent-width check every decode entry runs.
+  util::Status CheckLatent(const linalg::Matrix& z) const;
 
   /// Packs the decoder weights into a DecoderPlan. Called by the
   /// factories after Validate(); fatal on failure (validated weights

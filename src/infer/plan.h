@@ -79,15 +79,6 @@ class DecoderPlan {
   std::size_t slot_width_[2] = {0, 0};
 };
 
-/// Process-wide switch consulted by core::ReleasePackage::DecodeLatent:
-/// when false, packages fall back to the reference nn/linalg path even
-/// if they carry a compiled plan. Initialised from the environment
-/// (P3GM_NO_PLANNED_DECODE=1 disables) on first read; SetPlannedDecodeEnabled
-/// overrides afterwards (used by `p3gm serve --no-planned-decode` and
-/// the equivalence tests).
-bool PlannedDecodeEnabled();
-void SetPlannedDecodeEnabled(bool enabled);
-
 }  // namespace infer
 }  // namespace p3gm
 

@@ -1,18 +1,18 @@
 #ifndef P3GM_SERVE_POLLER_H_
 #define P3GM_SERVE_POLLER_H_
 
-#include <cstddef>
-#include <map>
+#include <memory>
 #include <vector>
+
+#include "util/result.h"
+#include "util/status.h"
 
 namespace p3gm {
 namespace serve {
 
-/// Readiness-notification backend for the serve event loop: epoll on
-/// Linux, with a portable poll(2) implementation everywhere else. The
-/// environment variable P3GM_SERVE_FORCE_POLL=1 selects the poll
-/// backend at construction even where epoll is available, so both code
-/// paths stay exercised by the same test suite.
+/// Readiness notification for the serve event loop: a thin owner of one
+/// Linux epoll instance (the daemon is Linux-only anyway — SIGPROF,
+/// /proc and perf_event_open).
 class Poller {
  public:
   struct Event {
@@ -22,16 +22,17 @@ class Poller {
     bool error = false;  // HUP / ERR — the connection should be torn down.
   };
 
-  Poller();
+  /// Opens the epoll instance; fails with the errno text if the kernel
+  /// refuses one.
+  static util::Result<std::unique_ptr<Poller>> Create();
   ~Poller();
 
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
 
-  bool ok() const { return ok_; }
-  bool using_epoll() const { return epoll_fd_ >= 0; }
-
-  void Add(int fd, bool want_read, bool want_write);
+  /// Registers `fd`; fails (and registers nothing) if epoll_ctl does,
+  /// e.g. for a closed fd.
+  util::Status Add(int fd, bool want_read, bool want_write);
   void Update(int fd, bool want_read, bool want_write);
   void Remove(int fd);
 
@@ -41,10 +42,9 @@ class Poller {
   int Wait(std::vector<Event>* out, int timeout_ms);
 
  private:
-  bool ok_ = false;
-  int epoll_fd_ = -1;  // -1 = poll backend.
-  /// Poll backend bookkeeping: fd -> requested events mask.
-  std::map<int, short> poll_interest_;
+  explicit Poller(int epoll_fd) : epoll_fd_(epoll_fd) {}
+
+  const int epoll_fd_;
 };
 
 }  // namespace serve

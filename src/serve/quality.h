@@ -17,7 +17,7 @@ namespace p3gm {
 namespace serve {
 
 struct QualityOptions {
-  /// Master switch (`p3gm serve --no-quality`, P3GM_NO_QUALITY=1).
+  /// Master switch (`p3gm serve --no-quality`).
   /// Disabled, the serve path never constructs monitors and the batcher
   /// observer is a null hook — zero overhead, bit-identical samples
   /// (samples are bit-identical either way; monitoring only reads the

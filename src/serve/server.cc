@@ -7,8 +7,6 @@
 #include <fstream>
 #include <utility>
 
-#include "infer/plan.h"
-
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -172,11 +170,6 @@ util::Status Server::Init(const std::vector<std::string>& package_paths) {
   if (initialized_) {
     return util::Status::FailedPrecondition("Server: Init called twice");
   }
-  // Escape hatch only: never force-enable here, so an operator's
-  // P3GM_NO_PLANNED_DECODE=1 environment survives the default options.
-  if (!options_.planned_decode) {
-    infer::SetPlannedDecodeEnabled(false);
-  }
   // An empty package set is a valid cold start (mid-rollout, models
   // arrive via reload): /healthz reports zero models and the scrape
   // endpoints answer 503 + Retry-After until something loads.
@@ -237,16 +230,16 @@ util::Status Server::Start() {
     return util::Status::FailedPrecondition("Server: already running");
   }
   stop_requested_.store(false, std::memory_order_release);
-  poller_ = std::make_unique<Poller>();
-  poller_->Add(listen_fd_, /*want_read=*/true, /*want_write=*/false);
-  poller_->Add(wake_read_fd_, /*want_read=*/true, /*want_write=*/false);
+  P3GM_ASSIGN_OR_RETURN(poller_, Poller::Create());
+  P3GM_RETURN_NOT_OK(
+      poller_->Add(listen_fd_, /*want_read=*/true, /*want_write=*/false));
+  P3GM_RETURN_NOT_OK(
+      poller_->Add(wake_read_fd_, /*want_read=*/true, /*want_write=*/false));
   batcher_->Start();
   running_.store(true, std::memory_order_release);
   loop_thread_ = std::thread([this] { LoopThread(); });
   P3GM_LOG(Info) << "p3gm serve: listening on " << options_.host << ":"
-                 << bound_port_ << " ("
-                 << (poller_->using_epoll() ? "epoll" : "poll")
-                 << " backend)";
+                 << bound_port_;
   // Self-describing startup: the build-info gauge makes every scrape
   // attributable to a binary, and the config line puts the effective
   // options in the incident log up front.
@@ -258,9 +251,8 @@ util::Status Server::Start() {
                  << " max_batch_rows=" << options_.max_batch_rows
                  << " queue_limit=" << options_.queue_limit
                  << " cache_entries=" << options_.cache_entries
-                 << " max_n=" << options_.max_n << " planned_decode="
-                 << (options_.planned_decode ? "on" : "off") << " quality="
-                 << (quality_.enabled() ? "on" : "off")
+                 << " max_n=" << options_.max_n
+                 << " quality=" << (quality_.enabled() ? "on" : "off")
                  << " quality_threshold=" << options_.quality.threshold
                  << " models=" << registry_.size();
   // Daemon-lifetime sampled heap profile behind the alloc-tracking
@@ -425,9 +417,16 @@ void Server::AcceptNewConnections() {
       ::close(fd);
       continue;
     }
-    auto conn = std::make_unique<Connection>(fd, options_.http);
-    poller_->Add(fd, /*want_read=*/true, /*want_write=*/false);
-    connections_.emplace(fd, std::move(conn));
+    // An fd the poller cannot watch would never be woken yet would hold
+    // a max_connections slot until drain; drop it now instead.
+    if (const util::Status added =
+            poller_->Add(fd, /*want_read=*/true, /*want_write=*/false);
+        !added.ok()) {
+      P3GM_LOG(Warning) << "p3gm serve: dropping connection: " << added;
+      ::close(fd);
+      continue;
+    }
+    connections_.emplace(fd, std::make_unique<Connection>(fd, options_.http));
   }
 }
 

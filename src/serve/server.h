@@ -57,12 +57,6 @@ struct ServerOptions {
   std::string profile_on_slow_dir;
   /// Burst length for --profile-on-slow captures.
   int profile_on_slow_seconds = 1;
-  /// Decode through the compiled infer::DecoderPlan (packed weights,
-  /// arena buffers, SIMD kernels). false routes every decode through the
-  /// reference nn/linalg path instead — the `--no-planned-decode`
-  /// escape hatch; outputs are bit-identical either way (see
-  /// docs/inference.md).
-  bool planned_decode = true;
   /// Synthesis-quality monitoring (docs/observability.md "Synthesis
   /// quality"): per-model streaming sketches folded from every decoded
   /// batch, scored against the package fingerprint on scrape.
@@ -70,7 +64,7 @@ struct ServerOptions {
   HttpLimits http;
 };
 
-/// The `p3gm serve` daemon: a single-threaded epoll/poll event loop
+/// The `p3gm serve` daemon: a single-threaded epoll event loop
 /// (accept, parse, route, write) plus one batching executor thread that
 /// runs coalesced decoder passes (which in turn fan out through
 /// util::ThreadPool inside the gemm kernels) and formats each sample

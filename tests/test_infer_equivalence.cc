@@ -63,19 +63,6 @@ linalg::Matrix RandomMatrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
-/// Restores the planned-decode switch on scope exit.
-class ScopedPlannedDecode {
- public:
-  explicit ScopedPlannedDecode(bool enabled)
-      : previous_(infer::PlannedDecodeEnabled()) {
-    infer::SetPlannedDecodeEnabled(enabled);
-  }
-  ~ScopedPlannedDecode() { infer::SetPlannedDecodeEnabled(previous_); }
-
- private:
-  bool previous_;
-};
-
 /// Sets P3GM_INFER_FORCE_SCALAR=1 for the scope (ActiveTier re-reads the
 /// environment on every call, so this flips the dispatch immediately).
 class ScopedForceScalar {
@@ -324,20 +311,11 @@ TEST(InferEquivalence, DecodeLatentMatchesReferenceBernoulli) {
       MakeDecodePackage(core::DecoderType::kBernoulli, 11, 47, 30, 1);
   util::Rng rng(5);
   linalg::Matrix z = pkg.SampleLatent(129, &rng);
-  linalg::Matrix planned, reference;
-  {
-    ScopedPlannedDecode on(true);
-    auto r = pkg.DecodeLatent(z);
-    ASSERT_TRUE(r.ok());
-    planned = std::move(r).ValueOrDie();
-  }
-  {
-    ScopedPlannedDecode off(false);
-    auto r = pkg.DecodeLatent(z);
-    ASSERT_TRUE(r.ok());
-    reference = std::move(r).ValueOrDie();
-  }
-  EXPECT_TRUE(BitIdentical(reference, planned));
+  auto planned = pkg.DecodeLatent(z);
+  ASSERT_TRUE(planned.ok());
+  linalg::Matrix reference;
+  ASSERT_TRUE(pkg.ReferenceDecodeInto(z, &reference).ok());
+  EXPECT_TRUE(BitIdentical(reference, *planned));
 }
 
 TEST(InferEquivalence, DecodeLatentMatchesReferenceGaussian) {
@@ -345,20 +323,11 @@ TEST(InferEquivalence, DecodeLatentMatchesReferenceGaussian) {
       MakeDecodePackage(core::DecoderType::kGaussian, 7, 33, 21, 2);
   util::Rng rng(6);
   linalg::Matrix z = pkg.SampleLatent(64, &rng);
-  linalg::Matrix planned, reference;
-  {
-    ScopedPlannedDecode on(true);
-    auto r = pkg.DecodeLatent(z);
-    ASSERT_TRUE(r.ok());
-    planned = std::move(r).ValueOrDie();
-  }
-  {
-    ScopedPlannedDecode off(false);
-    auto r = pkg.DecodeLatent(z);
-    ASSERT_TRUE(r.ok());
-    reference = std::move(r).ValueOrDie();
-  }
-  EXPECT_TRUE(BitIdentical(reference, planned));
+  auto planned = pkg.DecodeLatent(z);
+  ASSERT_TRUE(planned.ok());
+  linalg::Matrix reference;
+  ASSERT_TRUE(pkg.ReferenceDecodeInto(z, &reference).ok());
+  EXPECT_TRUE(BitIdentical(reference, *planned));
 }
 
 // Special values must flow through every path with identical bits:
@@ -412,18 +381,20 @@ TEST(InferEquivalence, SpecialValueLatentsMatchAcrossPathsAndTiers) {
 }
 
 // DecodeLatentInto is the serving batcher's entry point: same bytes as
-// DecodeLatent under either runtime, with the caller's buffer reused.
+// DecodeLatent, and as the ReferenceDecodeInto oracle, into a caller's
+// buffer.
 TEST(InferEquivalence, DecodeLatentIntoMatchesDecodeLatent) {
   core::ReleasePackage pkg =
       MakeDecodePackage(core::DecoderType::kGaussian, 9, 41, 26, 3);
   util::Rng rng(7);
   linalg::Matrix z = pkg.SampleLatent(77, &rng);
+  auto by_value = pkg.DecodeLatent(z);
+  ASSERT_TRUE(by_value.ok());
   for (const bool planned : {true, false}) {
-    ScopedPlannedDecode mode(planned);
-    auto by_value = pkg.DecodeLatent(z);
-    ASSERT_TRUE(by_value.ok());
     linalg::Matrix into;
-    ASSERT_TRUE(pkg.DecodeLatentInto(z, &into).ok());
+    ASSERT_TRUE((planned ? pkg.DecodeLatentInto(z, &into)
+                         : pkg.ReferenceDecodeInto(z, &into))
+                    .ok());
     EXPECT_TRUE(BitIdentical(*by_value, into))
         << "planned=" << planned;
   }
@@ -435,7 +406,6 @@ TEST(InferEquivalence, DecodeLatentIntoMatchesDecodeLatent) {
 TEST(InferEquivalence, DecodeLatentIntoReusesBufferAcrossBatchSizes) {
   core::ReleasePackage pkg =
       MakeDecodePackage(core::DecoderType::kBernoulli, 8, 37, 22, 4);
-  ScopedPlannedDecode on(true);
   linalg::Matrix out;
   util::Rng rng(8);
   for (const std::size_t rows : {64, 7, 128, 1, 128}) {
@@ -468,18 +438,17 @@ TEST(InferEquivalence, GenerateEndToEndMatchesReference) {
       MakeDecodePackage(core::DecoderType::kBernoulli, 5, 19, 12, 3);
   data::Dataset planned, reference;
   {
-    ScopedPlannedDecode on(true);
     util::Rng rng(31337);
     auto r = pkg.Generate(200, &rng);
     ASSERT_TRUE(r.ok());
     planned = std::move(r).ValueOrDie();
   }
   {
-    ScopedPlannedDecode off(false);
     util::Rng rng(31337);
-    auto r = pkg.Generate(200, &rng);
-    ASSERT_TRUE(r.ok());
-    reference = std::move(r).ValueOrDie();
+    linalg::Matrix outputs;
+    ASSERT_TRUE(
+        pkg.ReferenceDecodeInto(pkg.SampleLatent(200, &rng), &outputs).ok());
+    reference = pkg.AssembleRows(std::move(outputs));
   }
   EXPECT_TRUE(BitIdentical(reference.features, planned.features));
   EXPECT_EQ(reference.labels, planned.labels);

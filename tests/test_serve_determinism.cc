@@ -15,7 +15,6 @@
 
 #include "audit/golden.h"
 #include "gtest/gtest.h"
-#include "infer/plan.h"
 #include "obs/observability.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -37,12 +36,10 @@ class ServeDeterminismTest : public ::testing::Test {
   }
 
   std::unique_ptr<Server> StartServer(std::size_t max_batch,
-                                      bool planned_decode = true,
                                       std::size_t cache_entries = 0) {
     ServerOptions options;
     options.port = 0;
     options.max_batch = max_batch;
-    options.planned_decode = planned_decode;
     options.cache_entries = cache_entries;
     auto server = std::make_unique<Server>(options);
     P3GM_CHECK(server->Init({pkg_path_}).ok());
@@ -153,8 +150,7 @@ TEST_F(ServeDeterminismTest, CachedAnswerMatchesFreshBytes) {
   // The cache-hit path (loop thread) and the fresh path (batcher thread)
   // share one serializer: the same rows give the same bytes, apart from
   // the "cached" flag itself.
-  auto server = StartServer(/*max_batch=*/8, /*planned_decode=*/true,
-                            /*cache_entries=*/4);
+  auto server = StartServer(/*max_batch=*/8, /*cache_entries=*/4);
   HttpClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
   const std::string body = "{\"model\": \"alpha\", \"n\": 600}";
@@ -196,44 +192,6 @@ TEST_F(ServeDeterminismTest, UnseededRequestsVary) {
   EXPECT_NE(a->body, b->body);
 }
 
-TEST_F(ServeDeterminismTest, PlannedAndReferenceDecodeServeIdenticalBytes) {
-  // The compiled infer::DecoderPlan is contractually bit-identical to the
-  // reference nn path (docs/inference.md), so a seeded request must get
-  // the exact same bytes from a --no-planned-decode server. The toggle is
-  // process-global, so the two configurations run strictly one after the
-  // other.
-  const std::vector<std::pair<std::uint64_t, int>> requests = {
-      {42, 10}, {7, 1}, {1234567, 33}};
-  std::vector<std::string> planned_bodies;
-  {
-    auto planned = StartServer(/*max_batch=*/8, /*planned_decode=*/true);
-    HttpClient client;
-    ASSERT_TRUE(client.Connect("127.0.0.1", planned->port()).ok());
-    for (const auto& [seed, n] : requests) {
-      auto response = client.Post("/v1/sample", SampleBody(seed, n));
-      ASSERT_TRUE(response.ok());
-      ASSERT_EQ(response->status, 200);
-      planned_bodies.push_back(response->body);
-    }
-  }
-  {
-    auto reference = StartServer(/*max_batch=*/8, /*planned_decode=*/false);
-    HttpClient client;
-    ASSERT_TRUE(client.Connect("127.0.0.1", reference->port()).ok());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      auto response = client.Post(
-          "/v1/sample", SampleBody(requests[i].first, requests[i].second));
-      ASSERT_TRUE(response.ok());
-      ASSERT_EQ(response->status, 200);
-      EXPECT_EQ(response->body, planned_bodies[i])
-          << "seed " << requests[i].first;
-    }
-  }
-  // Init(planned_decode=false) flipped the process-global switch; put it
-  // back for the rest of the binary.
-  infer::SetPlannedDecodeEnabled(true);
-}
-
 TEST_F(ServeDeterminismTest, GoldenDecodeFixtureMatchesBothRuntimes) {
   // The checked-in fixture pins fixed-seed synthesis bytes; both decode
   // runtimes must reproduce it exactly.
@@ -242,10 +200,8 @@ TEST_F(ServeDeterminismTest, GoldenDecodeFixtureMatchesBothRuntimes) {
   const audit::GoldenCompareResult planned = audit::CompareGoldenDecode(path);
   EXPECT_TRUE(planned.ok) << planned.message;
 
-  infer::SetPlannedDecodeEnabled(false);
   const audit::GoldenCompareResult reference =
-      audit::CompareGoldenDecode(path);
-  infer::SetPlannedDecodeEnabled(true);
+      audit::CompareGoldenDecode(path, /*reference=*/true);
   EXPECT_TRUE(reference.ok) << reference.message;
 }
 

@@ -9,11 +9,14 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "gtest/gtest.h"
 #include "obs/json.h"
 #include "obs/observability.h"
 #include "obs/registry.h"
 #include "serve/client.h"
+#include "serve/poller.h"
 #include "serve/server.h"
 #include "serve_test_util.h"
 #include "stats/gmm.h"
@@ -317,15 +320,16 @@ TEST_F(ServeE2eTest, MetricsEndpointExportsRegistry) {
 #endif
 }
 
-TEST_F(ServeE2eTest, PollBackendServesRequests) {
-  ::setenv("P3GM_SERVE_FORCE_POLL", "1", 1);
-  StartServer(ServerOptions(), {pkg_path_});
-  ::unsetenv("P3GM_SERVE_FORCE_POLL");
-  auto response = client_.Post("/v1/sample",
-                               "{\"model\": \"alpha\", \"n\": 3}");
-  ASSERT_TRUE(response.ok()) << response.status();
-  ASSERT_EQ(response->status, 200);
-  EXPECT_EQ(ParseJson(response->body).Find("rows")->items.size(), 3u);
+TEST(PollerTest, AddOfClosedFdReportsFailure) {
+  auto poller = Poller::Create();
+  ASSERT_TRUE(poller.ok()) << poller.status();
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ::close(fds[0]);
+  ::close(fds[1]);
+  EXPECT_FALSE((*poller)->Add(fds[0], /*want_read=*/true,
+                              /*want_write=*/false)
+                   .ok());
 }
 
 TEST_F(ServeE2eTest, InitFailsOnMissingPackage) {

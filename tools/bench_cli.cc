@@ -20,7 +20,9 @@
 // measures every benchmark once before any benchmark gets rep r+1, so
 // each benchmark's samples span the full suite window and machine-load
 // phases hit all benchmarks alike — the property bench_compare's drift
-// normalization relies on.
+// normalization relies on. The one exception is the gemm thread sweep
+// (gemm.<n>.t<threads>): changing the pool width rebuilds the pool, so
+// those cases run afterwards in closure mode, one width at a time.
 
 #include "tools/bench_cli.h"
 
@@ -35,7 +37,6 @@
 #include "core/release.h"
 #include "dp/accountant.h"
 #include "dp/mechanisms.h"
-#include "infer/plan.h"
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/ops.h"
@@ -158,10 +159,13 @@ bool ParseBenchFlags(int argc, char** argv, int start,
 // A benchmark is a name plus a setup factory: `make()` allocates the
 // inputs (outside any timed region) and returns the measured closure.
 // Factories are only invoked for benchmarks that survive --filter, and
-// the returned closures are handed to RunInterleaved together.
+// the returned closures are handed to RunInterleaved together — except
+// those pinned to a pool width (`threads` > 0), which run one by one at
+// that width afterwards.
 struct MicroBench {
   std::string name;
   std::function<std::function<void()>()> make;
+  std::size_t threads = 0;  // 0: the process's own pool width.
 };
 
 // The suite. Sizes come in a (full, smoke) pair; the bench name embeds
@@ -170,17 +174,33 @@ struct MicroBench {
 std::vector<MicroBench> BuildSuite(bool smoke) {
   std::vector<MicroBench> benches;
   auto add = [&](std::string name,
-                 std::function<std::function<void()>()> make) {
-    benches.push_back({std::move(name), std::move(make)});
+                 std::function<std::function<void()>()> make,
+                 std::size_t threads = 0) {
+    benches.push_back({std::move(name), std::move(make), threads});
+  };
+  auto gemm = [](std::size_t n, std::uint64_t seed_a, std::uint64_t seed_b) {
+    return [n, seed_a, seed_b]() -> std::function<void()> {
+      auto a = std::make_shared<Matrix>(RandomMatrix(n, n, seed_a));
+      auto b = std::make_shared<Matrix>(RandomMatrix(n, n, seed_b));
+      return [a, b] { Keep(linalg::Matmul(*a, *b)(0, 0)); };
+    };
   };
 
   for (std::size_t n : smoke ? std::vector<std::size_t>{48}
                              : std::vector<std::size_t>{128, 256}) {
-    add("gemm." + std::to_string(n), [n]() {
-      auto a = std::make_shared<Matrix>(RandomMatrix(n, n, 1));
-      auto b = std::make_shared<Matrix>(RandomMatrix(n, n, 2));
-      return [a, b] { Keep(linalg::Matmul(*a, *b)(0, 0)); };
-    });
+    add("gemm." + std::to_string(n), gemm(n, 1, 2));
+  }
+  // Thread sweep of the dominant kernel: the same gemm at each pool
+  // width. Results are bit-identical at every width (static partition);
+  // only the timing should move — flat on a single core, where extra
+  // workers only add scheduling overhead.
+  for (std::size_t n : smoke ? std::vector<std::size_t>{128}
+                             : std::vector<std::size_t>{256, 512}) {
+    for (std::size_t t : smoke ? std::vector<std::size_t>{1, 2}
+                               : std::vector<std::size_t>{1, 2, 4, 8}) {
+      add("gemm." + std::to_string(n) + ".t" + std::to_string(t),
+          gemm(n, 43, 47), t);
+    }
   }
 
   {
@@ -330,10 +350,11 @@ std::vector<MicroBench> BuildSuite(bool smoke) {
   }
 
   // Decoder synthesis through both runtimes: the compiled inference
-  // plan (packed weights, fused SIMD kernels) and the reference
-  // nn/linalg forward pass, both via DecodeLatentInto — the serve
-  // batcher's call. bench/bench_decode sweeps batch sizes; these micros
-  // pin the serving-shaped batch into the cross-commit trajectory.
+  // plan (packed weights, fused SIMD kernels) via DecodeLatentInto — the
+  // serve batcher's call — and the reference nn/linalg forward pass via
+  // ReferenceDecodeInto. bench/bench_decode sweeps batch sizes; these
+  // micros pin the serving-shaped batch into the cross-commit
+  // trajectory.
   {
     const std::size_t dl = smoke ? 16 : 64;
     const std::size_t h = smoke ? 64 : 512;
@@ -351,9 +372,9 @@ std::vector<MicroBench> BuildSuite(bool smoke) {
             auto z = std::make_shared<Matrix>(pkg->SampleLatent(batch, &rng));
             auto out = std::make_shared<Matrix>();
             return [pkg, z, out, planned] {
-              infer::SetPlannedDecodeEnabled(planned);
-              const util::Status s = pkg->DecodeLatentInto(*z, out.get());
-              infer::SetPlannedDecodeEnabled(true);
+              const util::Status s =
+                  planned ? pkg->DecodeLatentInto(*z, out.get())
+                          : pkg->ReferenceDecodeInto(*z, out.get());
               Keep(s.ok() ? out->data()[0] : 0.0);
             };
           });
@@ -420,16 +441,21 @@ int RunBenchCommand(int argc, char** argv, int start) {
   }
 
   // Materialize the filtered closures (setup runs here, untimed), then
-  // hand the whole batch to the interleaved sampler.
+  // hand the unpinned batch to the interleaved sampler.
   std::vector<ob::BenchSuite::NamedBench> named;
+  std::vector<const MicroBench*> pinned;
   for (const auto& b : benches) {
     if (!flags.filter.empty() &&
         b.name.find(flags.filter) == std::string::npos) {
       continue;
     }
-    named.push_back({b.name, b.make()});
+    if (b.threads > 0) {
+      pinned.push_back(&b);
+    } else {
+      named.push_back({b.name, b.make()});
+    }
   }
-  if (named.empty()) {
+  if (named.empty() && pinned.empty()) {
     std::fprintf(stderr, "error: filter '%s' matched no benchmarks\n",
                  flags.filter.c_str());
     return 1;
@@ -445,7 +471,12 @@ int RunBenchCommand(int argc, char** argv, int start) {
       obs::perf::HardwareCountersAvailable() ? "yes" : "no (fallback)");
 
   util::Stopwatch sw;
-  suite.RunInterleaved(named, options);
+  if (!named.empty()) suite.RunInterleaved(named, options);
+  for (const MicroBench* b : pinned) {
+    util::SetNumThreads(b->threads);
+    suite.Run(b->name, b->make(), options);
+  }
+  if (!pinned.empty()) util::SetNumThreads(0);
   suite.runinfo().wall_seconds = sw.ElapsedSeconds();
 
   for (const auto& r : suite.results()) {

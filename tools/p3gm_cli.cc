@@ -12,7 +12,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -112,16 +111,11 @@ int Usage() {
                "                       p3gm_flight.dump)\n"
                "  --no-obs             disable the metrics registry\n"
                "                       (/v1/metrics reports zeros)\n"
-               "  --no-planned-decode  decode via the reference nn/linalg\n"
-               "                       path instead of the compiled plan\n"
-               "                       (bit-identical; see\n"
-               "                       docs/inference.md)\n"
                "  --quality-threshold T  drift alarm threshold on the\n"
                "                       quality monitor, (0, 2] (default\n"
                "                       0.15)\n"
                "  --no-quality         disable synthesis-quality\n"
-               "                       monitoring (P3GM_NO_QUALITY=1 does\n"
-               "                       the same)\n"
+               "                       monitoring\n"
                "\n"
                "profile options (see docs/observability.md \"Profiling\"):\n"
                "  --out PREFIX         write PREFIX_cpu.folded (and, in\n"
@@ -595,8 +589,6 @@ int CmdServe(int argc, char** argv) {
       flight_dump_path = text;
     } else if (arg == "--no-obs") {
       obs_enabled = false;
-    } else if (arg == "--no-planned-decode") {
-      options.planned_decode = false;
     } else if (arg == "--quality-threshold") {
       const char* text = value();
       double d = 0;
@@ -617,12 +609,6 @@ int CmdServe(int argc, char** argv) {
   if (packages.empty()) {
     std::fprintf(stderr, "serve: at least one <model.release> required\n");
     return Usage();
-  }
-  // Environment escape hatch, for turning monitoring off without
-  // touching the service's command line.
-  if (const char* env = std::getenv("P3GM_NO_QUALITY");
-      env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0) {
-    options.quality.enabled = false;
   }
   obs::SetEnabled(obs_enabled);
   util::InitLoggingFromEnv();
