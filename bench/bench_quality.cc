@@ -116,6 +116,12 @@ int main() {
   for (std::size_t it = 0; it < kIters; ++it) {
     monitor_scrape.ObserveDecoded(decoded);
   }
+  // The first fold on a thread allocates that thread's sketch slot (a
+  // few hundred KiB of level buffers at this width): a once-per-thread
+  // cost, not the per-batch one the bar is about, and at smoke sizes
+  // (two reps, no warmup) it would be half the measured median.
+  monitor_default.ObserveDecoded(decoded);
+  monitor_s1.ObserveDecoded(decoded);
 
   linalg::Matrix out;
   std::vector<obs::bench::BenchSuite::NamedBench> benches;

@@ -9,6 +9,11 @@ namespace quality {
 
 namespace {
 
+/// Features folded together per staged block: enough independent
+/// Welford chains to hide the divide latency, few enough that their
+/// sketch state stays in L1 across the block's rows.
+constexpr std::size_t kFeatureBlock = 8;
+
 /// Process-wide thread index, flight-recorder style: stable for the
 /// thread's lifetime, assigned on first use.
 std::size_t ThreadIndex() {
@@ -66,6 +71,7 @@ QualityMonitor::Slot* QualityMonitor::LocalSlot() {
   if (slot != nullptr) return slot;
   Slot* fresh = new Slot;
   fresh->set = NewSketchSet();
+  fresh->staged.resize(kStageRows * (feature_dim_ + num_classes_));
   Slot* expected = nullptr;
   if (slots_[index].compare_exchange_strong(expected, fresh,
                                             std::memory_order_acq_rel)) {
@@ -75,25 +81,43 @@ QualityMonitor::Slot* QualityMonitor::LocalSlot() {
   return expected;
 }
 
-void QualityMonitor::FoldDecodedRow(SketchSet* set, const double* row,
-                                    std::size_t feature_dim,
-                                    std::size_t num_classes) {
-  for (std::size_t c = 0; c < feature_dim; ++c) {
-    set->quantiles[c].Add(row[c]);
-    set->moments[c].Add(row[c]);
-  }
-  if (num_classes > 0) {
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < num_classes; ++c) {
-      if (row[feature_dim + c] > row[feature_dim + best]) best = c;
+void QualityMonitor::FoldStaged(Slot* slot) const {
+  const std::size_t n = slot->staged_rows;
+  if (n == 0) return;
+  const std::size_t width = feature_dim_ + num_classes_;
+  const double* rows = slot->staged.data();
+  SketchSet& set = slot->set;
+  for (std::size_t c0 = 0; c0 < feature_dim_; c0 += kFeatureBlock) {
+    const std::size_t c1 = std::min(feature_dim_, c0 + kFeatureBlock);
+    const std::size_t next_end = std::min(feature_dim_, c1 + kFeatureBlock);
+    for (std::size_t c = c1; c < next_end; ++c) {
+      set.quantiles[c].PrefetchAdd();
     }
-    set->labels.Add(best);
+    for (std::size_t r = 0; r < n; ++r) {
+      const double* row = rows + r * width;
+      for (std::size_t c = c0; c < c1; ++c) {
+        set.quantiles[c].Add(row[c]);
+        set.moments[c].Add(row[c]);
+      }
+    }
   }
-  ++set->rows;
+  if (num_classes_ > 0) {
+    for (std::size_t r = 0; r < n; ++r) {
+      const double* onehot = rows + r * width + feature_dim_;
+      std::size_t best = 0;
+      for (std::size_t c = 1; c < num_classes_; ++c) {
+        if (onehot[c] > onehot[best]) best = c;
+      }
+      set.labels.Add(best);
+    }
+  }
+  set.rows += n;
+  slot->staged_rows = 0;
 }
 
 void QualityMonitor::ObserveDecoded(const linalg::Matrix& outputs) {
-  if (outputs.cols() != feature_dim_ + num_classes_) return;
+  const std::size_t width = feature_dim_ + num_classes_;
+  if (outputs.cols() != width) return;
   const std::uint64_t start =
       rows_seen_.fetch_add(outputs.rows(), std::memory_order_relaxed);
   // Global-counter stride: fold rows whose absolute index is a multiple
@@ -105,9 +129,11 @@ void QualityMonitor::ObserveDecoded(const linalg::Matrix& outputs) {
   Slot* slot = LocalSlot();
   std::lock_guard<std::mutex> lock(slot->mu);
   for (; next < start + outputs.rows(); next += stride) {
-    FoldDecodedRow(&slot->set,
-                   outputs.row_data(static_cast<std::size_t>(next - start)),
-                   feature_dim_, num_classes_);
+    const double* row =
+        outputs.row_data(static_cast<std::size_t>(next - start));
+    std::copy(row, row + width,
+              slot->staged.data() + slot->staged_rows * width);
+    if (++slot->staged_rows == kStageRows) FoldStaged(slot);
   }
 }
 
@@ -117,6 +143,7 @@ void QualityMonitor::ObserveDataset(const linalg::Matrix& features,
   rows_seen_.fetch_add(features.rows(), std::memory_order_relaxed);
   Slot* slot = LocalSlot();
   std::lock_guard<std::mutex> lock(slot->mu);
+  FoldStaged(slot);  // Keep each sketch's fold order = arrival order.
   for (std::size_t r = 0; r < features.rows(); ++r) {
     const double* row = features.row_data(r);
     for (std::size_t c = 0; c < feature_dim_; ++c) {
@@ -133,9 +160,10 @@ void QualityMonitor::ObserveDataset(const linalg::Matrix& features,
 QualityMonitor::SketchSet QualityMonitor::MergedSnapshot() const {
   SketchSet merged = NewSketchSet();
   for (const auto& entry : slots_) {
-    const Slot* slot = entry.load(std::memory_order_acquire);
+    Slot* slot = entry.load(std::memory_order_acquire);
     if (slot == nullptr) continue;
     std::lock_guard<std::mutex> lock(slot->mu);
+    FoldStaged(slot);
     for (std::size_t c = 0; c < feature_dim_; ++c) {
       merged.quantiles[c].Merge(slot->set.quantiles[c]);
       merged.moments[c].Merge(slot->set.moments[c]);
@@ -195,6 +223,7 @@ std::size_t QualityMonitor::MemoryBytes() const {
     }
     bytes += slot->set.moments.size() * sizeof(MomentsSketch);
     bytes += slot->set.labels.num_bins() * sizeof(std::uint64_t);
+    bytes += slot->staged.size() * sizeof(double);
   }
   return bytes;
 }

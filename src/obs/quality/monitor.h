@@ -96,8 +96,9 @@ class QualityMonitor {
   void ObserveDataset(const linalg::Matrix& features,
                       const std::vector<std::size_t>& labels);
 
-  /// Merges all slots and scores the merged sketches against the
-  /// fingerprint. Safe to call concurrently with writers.
+  /// Folds every slot's staged rows, merges all slots and scores the
+  /// merged sketches against the fingerprint. Safe to call concurrently
+  /// with writers; the result does not depend on when scrapes happen.
   DriftReport Score() const;
 
   std::uint64_t rows_seen() const {
@@ -119,18 +120,28 @@ class QualityMonitor {
     CategoricalSketch labels;
     std::uint64_t rows = 0;
   };
+  /// Sampled decoded rows are staged and folded kStageRows at a time,
+  /// feature by feature: each feature's sketch state is then pulled
+  /// into cache once per block instead of once per row, which is what
+  /// the fold costs right after a decode has evicted it.
+  static constexpr std::size_t kStageRows = 16;
+
   struct Slot {
     mutable std::mutex mu;
     SketchSet set;
+    /// Sampled rows not yet folded into `set`, row-major, kStageRows
+    /// rows of feature_dim + num_classes values.
+    std::vector<double> staged;
+    std::size_t staged_rows = 0;
   };
 
   Slot* LocalSlot();
   SketchSet NewSketchSet() const;
   SketchSet MergedSnapshot() const;
-  /// Folds one decoded row (features + optional one-hot block).
-  static void FoldDecodedRow(SketchSet* set, const double* row,
-                             std::size_t feature_dim,
-                             std::size_t num_classes);
+  /// Folds the slot's staged rows (features + optional one-hot block)
+  /// into its sketches, in row order per sketch, so the result is
+  /// identical to folding each row as it arrived. Caller holds slot->mu.
+  void FoldStaged(Slot* slot) const;
 
   std::shared_ptr<const Fingerprint> fingerprint_;
   std::size_t feature_dim_;

@@ -1,7 +1,9 @@
 // QualityMonitor suite (obs/quality/monitor.h): stride subsampling
 // bookkeeping, fingerprint-less operation, drift scoring for clean and
-// shifted streams, label total-variation, and memory accounting.
+// shifted streams, label total-variation, staged-fold equivalence, and
+// memory accounting.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -137,6 +139,55 @@ TEST(QualityMonitor, ObserveDatasetFoldsEveryRow) {
   std::vector<std::size_t> labels(120, 1);
   monitor.ObserveDataset(UniformMatrix(120, dim, 9), labels);
   EXPECT_EQ(monitor.Score().rows_observed, 120u);
+}
+
+// ObserveDecoded stages sampled rows and folds them in blocks; every
+// sketch must still see its values in arrival order, so the scores are
+// bit-identical to folding row by row (ObserveDataset), whatever the
+// batch sizes and however many scrapes force a partial block in between.
+TEST(QualityMonitor, StagedFoldMatchesRowByRowFold) {
+  const std::size_t rows = 300, dim = 3, classes = 2;
+  const linalg::Matrix decoded = UniformMatrix(rows, dim + classes, 21);
+  auto fingerprint = std::make_shared<const Fingerprint>(
+      Fingerprint::FromDecoded(UniformMatrix(4096, dim + classes, 22),
+                               classes, /*seed=*/1));
+  MonitorOptions options;
+  options.stride = 1;
+
+  QualityMonitor staged(fingerprint, dim, classes, options);
+  for (std::size_t begin = 0, batch = 0; begin < rows; ++batch) {
+    const std::size_t n = std::min<std::size_t>(7, rows - begin);
+    linalg::Matrix part(n, dim + classes);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < dim + classes; ++c) {
+        part(r, c) = decoded(begin + r, c);
+      }
+    }
+    staged.ObserveDecoded(part);
+    if (batch % 5 == 2) staged.Score();  // Scrape mid-block.
+    begin += n;
+  }
+
+  linalg::Matrix features(rows, dim);
+  std::vector<std::size_t> labels(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < dim; ++c) features(r, c) = decoded(r, c);
+    labels[r] = decoded(r, dim + 1) > decoded(r, dim) ? 1 : 0;
+  }
+  QualityMonitor direct(fingerprint, dim, classes, options);
+  direct.ObserveDataset(features, labels);
+
+  const DriftReport a = staged.Score();
+  const DriftReport b = direct.Score();
+  EXPECT_EQ(a.rows_observed, rows);
+  EXPECT_EQ(b.rows_observed, rows);
+  ASSERT_EQ(a.features.size(), dim);
+  for (std::size_t c = 0; c < dim; ++c) {
+    EXPECT_EQ(a.features[c].ks, b.features[c].ks) << "feature " << c;
+    EXPECT_EQ(a.features[c].live_mean, b.features[c].live_mean);
+    EXPECT_EQ(a.features[c].live_stddev, b.features[c].live_stddev);
+  }
+  EXPECT_EQ(a.label_tv, b.label_tv);
 }
 
 TEST(QualityMonitor, MemoryStaysBoundedOverLongStreams) {
