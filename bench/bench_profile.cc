@@ -5,10 +5,13 @@
 // here as a hard gate: the sampled median must stay within 2% of the
 // unsampled median, or the bench fails.
 //
-// Measurement protocol: baseline and sampled windows alternate
-// (baseline, sampled, baseline, ...) so machine drift on a shared host
-// hits both sides alike, and each window is calibrated to ~10+ timer
-// ticks so every sampled window actually pays for SIGPROF delivery.
+// Measurement protocol: baseline and sampled windows alternate in
+// adjacent pairs, the order flipping every pair (baseline-sampled,
+// sampled-baseline, ...) so machine drift on a shared host hits both
+// sides alike. Windows are short (~5 timer ticks) and many: per-window
+// CPU time of identical work swings by tens of percent on a shared
+// host, and the median of many pair ratios settles where a few long
+// windows do not, for the same total measured time.
 // Windows are measured in *thread CPU time*, not wall time: the
 // sampler's entire cost (kernel signal delivery + handler + stack
 // capture) is CPU work charged to the interrupted thread, while wall
@@ -104,8 +107,8 @@ int main() {
 
   constexpr int kHz = 99;  // /v1/profile default.
   const std::size_t kBatch = 256;
-  const int kWindowsPerMode = bench::SmokeMode() ? 9 : 15;
-  const double kTargetWindowSeconds = bench::SmokeMode() ? 0.15 : 0.25;
+  const int kWindowsPerMode = bench::SmokeMode() ? 27 : 45;
+  const double kTargetWindowSeconds = bench::SmokeMode() ? 0.05 : 0.083;
 
   const core::ReleasePackage pkg = bench::MakeProfilePackage();
   util::Rng z_rng(20260808);
@@ -117,8 +120,9 @@ int main() {
     P3GM_CHECK_MSG(status.ok(), status.ToString().c_str());
   };
 
-  // Calibrate iterations so a window spans 10+ ticks at 99 Hz: short
-  // windows would make "did a tick land here" the dominant noise term.
+  // Calibrate iterations so a window spans ~5 ticks at 99 Hz: every
+  // sampled window pays for several SIGPROF deliveries, and one tick
+  // more or less moves a window by well under 0.1%.
   decode();  // Warm caches / plan arena.
   const double calibrate_start = bench::ThreadCpuSeconds();
   decode();
@@ -131,6 +135,27 @@ int main() {
   std::vector<double> baseline_windows, sampled_windows;
   std::uint64_t total_samples = 0;
   double overhead = 0.0;
+  auto baseline_window = [&] {
+    const double start = bench::ThreadCpuSeconds();
+    for (std::size_t i = 0; i < iters; ++i) decode();
+    const double seconds = bench::ThreadCpuSeconds() - start;
+    baseline_windows.push_back(seconds);
+    run.suite().RecordSample("profile/decode_baseline", seconds);
+  };
+  auto sampled_window = [&] {
+    obs::profile::CpuProfileOptions options;
+    options.hz = kHz;
+    const util::Status status = profiler.Start(options);
+    P3GM_CHECK_MSG(status.ok(), status.ToString().c_str());
+    const double start = bench::ThreadCpuSeconds();
+    for (std::size_t i = 0; i < iters; ++i) decode();
+    const double seconds = bench::ThreadCpuSeconds() - start;
+    auto profile = profiler.Stop();  // Symbolization outside the timer.
+    P3GM_CHECK(profile.ok());
+    total_samples += profile->samples;
+    sampled_windows.push_back(seconds);
+    run.suite().RecordSample("profile/decode_sampled", seconds);
+  };
   // One re-measurement is allowed before the gate fails: the gate
   // targets a sub-1% effect, and shared-host noise occasionally fakes a
   // multi-percent swing in either direction for a whole measurement. A
@@ -139,26 +164,12 @@ int main() {
     baseline_windows.clear();
     sampled_windows.clear();
     for (int w = 0; w < kWindowsPerMode; ++w) {
-      {
-        const double start = bench::ThreadCpuSeconds();
-        for (std::size_t i = 0; i < iters; ++i) decode();
-        const double seconds = bench::ThreadCpuSeconds() - start;
-        baseline_windows.push_back(seconds);
-        run.suite().RecordSample("profile/decode_baseline", seconds);
-      }
-      {
-        obs::profile::CpuProfileOptions options;
-        options.hz = kHz;
-        const util::Status status = profiler.Start(options);
-        P3GM_CHECK_MSG(status.ok(), status.ToString().c_str());
-        const double start = bench::ThreadCpuSeconds();
-        for (std::size_t i = 0; i < iters; ++i) decode();
-        const double seconds = bench::ThreadCpuSeconds() - start;
-        auto profile = profiler.Stop();  // Symbolization outside the timer.
-        P3GM_CHECK(profile.ok());
-        total_samples += profile->samples;
-        sampled_windows.push_back(seconds);
-        run.suite().RecordSample("profile/decode_sampled", seconds);
+      if (w % 2 == 0) {
+        baseline_window();
+        sampled_window();
+      } else {
+        sampled_window();
+        baseline_window();
       }
     }
     // Each sampled window is compared against its adjacent baseline

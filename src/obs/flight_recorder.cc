@@ -5,6 +5,7 @@
 #include <string.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <cstdlib>
 
@@ -21,14 +22,6 @@ namespace p3gm {
 namespace obs {
 
 namespace {
-
-thread_local void* t_ring = nullptr;
-
-std::size_t RoundUpPow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
 
 // --- async-signal-safe formatting: write(2) + stack buffers only ---
 
@@ -148,7 +141,6 @@ void FatalHandler(int signo) {
 }  // namespace
 
 FlightRecorder::FlightRecorder() {
-  for (auto& slot : rings_) slot.store(nullptr, std::memory_order_relaxed);
   const char* env = std::getenv("P3GM_FLIGHT_RECORDER");
   if (env != nullptr &&
       (::strcmp(env, "0") == 0 || ::strcmp(env, "off") == 0 ||
@@ -162,27 +154,21 @@ FlightRecorder& FlightRecorder::Global() {
   return *global;
 }
 
-FlightRecorder::Ring* FlightRecorder::RingForThisThread() {
-  if (t_ring == nullptr) {
-    const int index = ring_count_.fetch_add(1, std::memory_order_relaxed);
-    if (index >= kMaxRings) return nullptr;  // Thread #257+: unrecorded.
-    auto* ring = new Ring();  // Leaked: crash handlers walk rings forever.
-    ring->tid = static_cast<std::uint32_t>(index);
-    ring->capacity = RoundUpPow2(
-        capacity_per_thread_.load(std::memory_order_relaxed));
-    ring->words = std::make_unique<std::atomic<std::uint64_t>[]>(
-        ring->capacity * kWordsPerEvent);
-    rings_[index].store(ring, std::memory_order_release);
-    t_ring = ring;
-  }
-  return static_cast<Ring*>(t_ring);
-}
-
 void FlightRecorder::Record(EventKind kind, const char* label,
                             std::uint64_t a, std::uint64_t b) {
   if (!enabled_.load(std::memory_order_relaxed)) return;
-  Ring* ring = RingForThisThread();
-  if (ring == nullptr) return;
+  Ring* ring = rings_.Local([this] {
+    auto* fresh = new Ring();  // Leaked: crash handlers walk rings forever.
+    fresh->tid = static_cast<std::uint32_t>(ThreadIndex());
+    fresh->capacity = capacity_per_thread_.load(std::memory_order_relaxed);
+    fresh->words = std::make_unique<std::atomic<std::uint64_t>[]>(
+        fresh->capacity * kWordsPerEvent);
+    return fresh;
+  });
+  if (ring == nullptr) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
   const std::uint64_t seq = ring->head.load(std::memory_order_relaxed);
   std::atomic<std::uint64_t>* w =
       ring->words.get() + (seq & (ring->capacity - 1)) * kWordsPerEvent;
@@ -206,25 +192,18 @@ void FlightRecorder::RecordLog(const char* level_label, const char* message,
 
 std::uint64_t FlightRecorder::RecordedCount() const {
   std::uint64_t total = 0;
-  const int count = ring_count_.load(std::memory_order_relaxed);
-  for (int i = 0; i < count && i < kMaxRings; ++i) {
-    const Ring* ring = rings_[i].load(std::memory_order_acquire);
-    if (ring != nullptr) {
-      total += ring->head.load(std::memory_order_relaxed);
-    }
-  }
+  rings_.ForEach([&total](const Ring* ring) {
+    total += ring->head.load(std::memory_order_relaxed);
+  });
   return total;
 }
 
 std::uint64_t FlightRecorder::OverwrittenCount() const {
   std::uint64_t total = 0;
-  const int count = ring_count_.load(std::memory_order_relaxed);
-  for (int i = 0; i < count && i < kMaxRings; ++i) {
-    const Ring* ring = rings_[i].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
+  rings_.ForEach([&total](const Ring* ring) {
     const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
     if (head > ring->capacity) total += head - ring->capacity;
-  }
+  });
   return total;
 }
 
@@ -233,11 +212,10 @@ void FlightRecorder::DumpToFd(int fd) const {
   WriteU64(fd, RecordedCount());
   WriteStr(fd, " overwritten ");
   WriteU64(fd, OverwrittenCount());
+  WriteStr(fd, " dropped ");
+  WriteU64(fd, DroppedCount());
   WriteStr(fd, "\n");
-  const int count = ring_count_.load(std::memory_order_relaxed);
-  for (int i = 0; i < count && i < kMaxRings; ++i) {
-    const Ring* ring = rings_[i].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
+  rings_.ForEach([fd](const Ring* ring) {
     const std::uint64_t head = ring->head.load(std::memory_order_acquire);
     const std::uint64_t n = head < ring->capacity ? head : ring->capacity;
     WriteStr(fd, "-- thread ");
@@ -279,7 +257,7 @@ void FlightRecorder::DumpToFd(int fd) const {
       }
       WriteStr(fd, "\n");
     }
-  }
+  });
   WriteStr(fd, "=== end flight recorder ===\n");
 }
 
@@ -293,7 +271,7 @@ bool FlightRecorder::DumpToFile(const char* path) const {
 
 void FlightRecorder::SetCapacityPerThread(std::size_t capacity) {
   if (capacity < 16) capacity = 16;
-  capacity_per_thread_.store(RoundUpPow2(capacity),
+  capacity_per_thread_.store(std::bit_ceil(capacity),
                              std::memory_order_relaxed);
 }
 

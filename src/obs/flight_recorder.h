@@ -7,6 +7,8 @@
 #include <memory>
 #include <string>
 
+#include "obs/per_thread_slots.h"
+
 namespace p3gm {
 namespace obs {
 
@@ -60,6 +62,10 @@ class FlightRecorder {
   /// Total events recorded / lost to ring wrap, summed over threads.
   std::uint64_t RecordedCount() const;
   std::uint64_t OverwrittenCount() const;
+  /// Events lost because their thread is past PerThreadSlots::kCapacity.
+  std::uint64_t DroppedCount() const {
+    return dropped_.load(std::memory_order_relaxed);
+  }
 
   /// Writes a human-readable dump of every ring (oldest event first per
   /// ring) to `fd`. Async-signal-safe.
@@ -78,7 +84,6 @@ class FlightRecorder {
   //   [0] timestamp (obs::NowNs), [1] label pointer, [2] a, [3] b,
   //   [4] kind << 32 | tid.
   static constexpr std::size_t kWordsPerEvent = 5;
-  static constexpr int kMaxRings = 256;
 
   struct Ring {
     std::uint32_t tid = 0;
@@ -88,15 +93,12 @@ class FlightRecorder {
   };
 
   FlightRecorder();
-  Ring* RingForThisThread();
 
   std::atomic<bool> enabled_{true};
   std::atomic<std::size_t> capacity_per_thread_{4096};
-  // Lock-free registration list so a signal handler can walk the rings
-  // without taking a mutex: slots are published once with a release
-  // store and never removed.
-  std::atomic<Ring*> rings_[kMaxRings];
-  std::atomic<int> ring_count_{0};
+  std::atomic<std::uint64_t> dropped_{0};
+  // Lock-free, so a signal handler can walk the rings without a mutex.
+  PerThreadSlots<Ring> rings_;
 };
 
 /// Installs signal handlers that dump the flight recorder to `path`:

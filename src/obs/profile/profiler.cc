@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <map>
 #include <mutex>
@@ -20,6 +21,7 @@
 #endif
 
 #include "obs/observability.h"
+#include "obs/per_thread_slots.h"
 #include "obs/profile/symbolize.h"
 #include "obs/registry.h"
 
@@ -44,14 +46,11 @@ struct Ring {
   std::atomic<std::uint64_t>* words = nullptr;
 };
 
-// Claim array, flight-recorder style: rings are allocated in normal
-// context (Start), published once with a release store, and leaked on
-// purpose so a handler can always walk them. A thread claims one ring
-// on its first sample and keeps it for the life of the process.
-std::atomic<Ring*> g_rings[kMaxProfiledThreads];
-std::atomic<int> g_allocated{0};  // Rings ready in g_rings.
-std::atomic<int> g_claimed{0};    // Rings handed to threads.
-thread_local Ring* t_ring = nullptr;
+// Rings are allocated by Start, never in the handler, and leaked so a
+// handler can always walk them. A thread takes a spare on its first
+// sample and keeps it for the life of the process.
+constinit PerThreadSlots<Ring> g_rings;
+std::atomic<Ring*> g_spares[8];
 
 std::atomic<bool> g_collecting{false};
 std::atomic<bool> g_use_frame_pointers{false};
@@ -63,22 +62,14 @@ bool g_handler_installed = false;
 std::uint64_t g_start_ns = 0;
 int g_hz = 0;
 
-std::size_t RoundUpPow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-Ring* ClaimRingForThisThread() {
-  if (t_ring != nullptr) return t_ring;
-  const int index = g_claimed.fetch_add(1, std::memory_order_relaxed);
-  if (index >= g_allocated.load(std::memory_order_acquire)) {
-    // Pool exhausted: more threads than pre-allocated rings. The sample
-    // is dropped (counted); the next Start tops the pool back up.
-    return nullptr;
+// Finding no spare costs loads only and moves no counter, so ring-less
+// samples cannot inflate the next Start's refill.
+Ring* TakeSpareRing() {
+  for (std::atomic<Ring*>& spare : g_spares) {
+    if (spare.load(std::memory_order_relaxed) == nullptr) continue;
+    if (Ring* ring = spare.exchange(nullptr)) return ring;
   }
-  t_ring = g_rings[index].load(std::memory_order_acquire);
-  return t_ring;
+  return nullptr;
 }
 
 }  // namespace
@@ -139,7 +130,9 @@ int ProfilerCaptureStack(std::uintptr_t* pcs, int max_depth) {
 }
 
 void ProfilerHandleSample() {
-  Ring* ring = ClaimRingForThisThread();
+  // nullptr past the slot capacity or with no spare left: the sample is
+  // dropped (counted), and the next Start refills the spares.
+  Ring* ring = g_rings.Local(TakeSpareRing);
   if (ring == nullptr) {
     g_dropped.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -172,21 +165,19 @@ void ProfilerSignalHandler(int) {
 
 namespace {
 
-// Pre-allocates rings so the handler never has to: keeps at least
-// `headroom` unclaimed rings available. Runs under the lifecycle mutex
-// in normal context.
-void TopUpRingPool(std::size_t capacity, int headroom) {
-  const int claimed = g_claimed.load(std::memory_order_relaxed);
-  const int want = std::min(claimed + headroom, kMaxProfiledThreads);
-  int allocated = g_allocated.load(std::memory_order_relaxed);
-  while (allocated < want) {
+// Pre-allocates spare rings so the handler never has to. Runs under the
+// lifecycle mutex in normal context.
+void RefillSpareRings(std::size_t capacity) {
+  int allocated = RingsAllocated();
+  for (std::atomic<Ring*>& spare : g_spares) {
+    if (allocated >= kMaxProfiledThreads) break;
+    if (spare.load(std::memory_order_relaxed) != nullptr) continue;
     auto* ring = new Ring();  // Leaked: handlers may walk rings forever.
     ring->capacity = capacity;
     ring->words = new std::atomic<std::uint64_t>[ring->capacity *
                                                  kWordsPerSample]();
-    g_rings[allocated].store(ring, std::memory_order_release);
+    spare.store(ring, std::memory_order_release);
     ++allocated;
-    g_allocated.store(allocated, std::memory_order_release);
   }
 }
 
@@ -218,6 +209,15 @@ bool IsProfilerInternalFrame(const std::string& name) {
 }
 
 }  // namespace
+
+int RingsAllocated() {
+  int rings = 0;
+  g_rings.ForEach([&rings](const Ring*) { ++rings; });
+  for (const std::atomic<Ring*>& spare : g_spares) {
+    rings += spare.load(std::memory_order_relaxed) != nullptr;
+  }
+  return rings;
+}
 
 bool UsingFramePointerWalk() {
   return g_use_frame_pointers.load(std::memory_order_relaxed);
@@ -270,12 +270,10 @@ util::Status CpuProfiler::Start(const CpuProfileOptions& options) {
   g_use_frame_pointers.store(true, std::memory_order_relaxed);
 #endif
 
-  TopUpRingPool(RoundUpPow2(options.ring_capacity), /*headroom=*/8);
-  const int allocated = g_allocated.load(std::memory_order_relaxed);
-  for (int i = 0; i < allocated; ++i) {
-    g_rings[i].load(std::memory_order_acquire)
-        ->head.store(0, std::memory_order_relaxed);
-  }
+  RefillSpareRings(std::bit_ceil(options.ring_capacity));
+  g_rings.ForEach([](Ring* ring) {
+    ring->head.store(0, std::memory_order_relaxed);
+  });
   g_samples.store(0, std::memory_order_relaxed);
   g_dropped.store(0, std::memory_order_relaxed);
   g_hz = options.hz;
@@ -335,9 +333,7 @@ util::Result<CpuProfile> CpuProfiler::Stop() {
   // Merge: aggregate identical raw stacks first so each unique stack is
   // symbolized exactly once.
   std::map<std::vector<std::uintptr_t>, std::uint64_t> raw;
-  const int allocated = g_allocated.load(std::memory_order_acquire);
-  for (int i = 0; i < allocated; ++i) {
-    const Ring* ring = g_rings[i].load(std::memory_order_acquire);
+  g_rings.ForEach([&profile, &raw](const Ring* ring) {
     const std::uint64_t head = ring->head.load(std::memory_order_acquire);
     const std::uint64_t n = std::min<std::uint64_t>(head, ring->capacity);
     if (head > ring->capacity) {
@@ -359,7 +355,7 @@ util::Result<CpuProfile> CpuProfiler::Stop() {
       }
       raw[pcs] += 1;
     }
-  }
+  });
 
   // Symbolize at dump time, strip the handler's own frames off the leaf
   // end, and fold equal stacks (two raw stacks can collapse to one

@@ -19,10 +19,10 @@ namespace profile {
 /// a thread that is currently running, so samples are CPU-weighted
 /// across threads for free. The handler captures a raw program-counter
 /// stack into the calling thread's lock-free ring and returns — zero
-/// locks, zero allocation, zero syscalls on the sampling path. Rings
-/// follow the flight-recorder slot pattern (obs/flight_recorder.h): a
-/// fixed claim array published with release stores, one writer per ring,
-/// torn-tolerant readers, loss accounted instead of blocked.
+/// locks, zero allocation, zero syscalls on the sampling path. A thread
+/// takes a ring from a pool that Start pre-allocates and keeps it in its
+/// obs::PerThreadSlots slot (obs/per_thread_slots.h): one writer per
+/// ring, torn-tolerant readers, loss accounted instead of blocked.
 ///
 /// Symbolization (dladdr + demangling) happens exclusively at collection
 /// time, never in the handler. The collected profile renders as folded
@@ -37,7 +37,7 @@ namespace profile {
 
 /// Hard compile-time caps of the sampling path.
 constexpr std::size_t kMaxStackDepth = 64;  // Frames kept per sample.
-constexpr int kMaxProfiledThreads = 64;     // Rings claimable at once.
+constexpr int kMaxProfiledThreads = 64;     // Rings allocated, at most.
 
 struct CpuProfileOptions {
   /// Samples per second of CPU time, [1, 1000]. 99 (not 100) keeps the
@@ -97,6 +97,10 @@ class CpuProfiler {
  private:
   CpuProfiler() = default;
 };
+
+/// Sample rings threads hold plus the (at most 8) spares Start keeps
+/// ready; never above kMaxProfiledThreads. Exposed for tests.
+int RingsAllocated();
 
 /// True when the signal handler walks frame pointers; false when it
 /// uses the pre-warmed backtrace() unwinder. Decided once per Start by

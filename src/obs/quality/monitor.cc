@@ -14,15 +14,6 @@ namespace {
 /// sketch state stays in L1 across the block's rows.
 constexpr std::size_t kFeatureBlock = 8;
 
-/// Process-wide thread index, flight-recorder style: stable for the
-/// thread's lifetime, assigned on first use.
-std::size_t ThreadIndex() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t id =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
-
 /// F_ref(x) estimated from the fingerprint's evenly rank-spaced
 /// quantile values: the fraction of grid values <= x. Correct up to
 /// grid resolution even when the reference has atoms.
@@ -45,13 +36,10 @@ QualityMonitor::QualityMonitor(std::shared_ptr<const Fingerprint> fingerprint,
       num_classes_(num_classes),
       options_(options) {
   if (options_.stride == 0) options_.stride = 1;
-  for (auto& slot : slots_) slot.store(nullptr, std::memory_order_relaxed);
 }
 
 QualityMonitor::~QualityMonitor() {
-  for (auto& slot : slots_) {
-    delete slot.load(std::memory_order_acquire);
-  }
+  slots_.ForEach([](Slot* slot) { delete slot; });
 }
 
 QualityMonitor::SketchSet QualityMonitor::NewSketchSet() const {
@@ -66,19 +54,12 @@ QualityMonitor::SketchSet QualityMonitor::NewSketchSet() const {
 }
 
 QualityMonitor::Slot* QualityMonitor::LocalSlot() {
-  const std::size_t index = ThreadIndex() % kMaxSlots;
-  Slot* slot = slots_[index].load(std::memory_order_acquire);
-  if (slot != nullptr) return slot;
-  Slot* fresh = new Slot;
-  fresh->set = NewSketchSet();
-  fresh->staged.resize(kStageRows * (feature_dim_ + num_classes_));
-  Slot* expected = nullptr;
-  if (slots_[index].compare_exchange_strong(expected, fresh,
-                                            std::memory_order_acq_rel)) {
-    return fresh;
-  }
-  delete fresh;  // Another thread mapped to the same slot first.
-  return expected;
+  return slots_.Local([this] {
+    Slot* slot = new Slot;
+    slot->set = NewSketchSet();
+    slot->staged.resize(kStageRows * (feature_dim_ + num_classes_));
+    return slot;
+  });
 }
 
 void QualityMonitor::FoldStaged(Slot* slot) const {
@@ -127,6 +108,7 @@ void QualityMonitor::ObserveDecoded(const linalg::Matrix& outputs) {
   std::uint64_t next = ((start + stride - 1) / stride) * stride;
   if (next >= start + outputs.rows()) return;
   Slot* slot = LocalSlot();
+  if (slot == nullptr) return;
   std::lock_guard<std::mutex> lock(slot->mu);
   for (; next < start + outputs.rows(); next += stride) {
     const double* row =
@@ -142,6 +124,7 @@ void QualityMonitor::ObserveDataset(const linalg::Matrix& features,
   if (features.cols() != feature_dim_) return;
   rows_seen_.fetch_add(features.rows(), std::memory_order_relaxed);
   Slot* slot = LocalSlot();
+  if (slot == nullptr) return;
   std::lock_guard<std::mutex> lock(slot->mu);
   FoldStaged(slot);  // Keep each sketch's fold order = arrival order.
   for (std::size_t r = 0; r < features.rows(); ++r) {
@@ -159,9 +142,7 @@ void QualityMonitor::ObserveDataset(const linalg::Matrix& features,
 
 QualityMonitor::SketchSet QualityMonitor::MergedSnapshot() const {
   SketchSet merged = NewSketchSet();
-  for (const auto& entry : slots_) {
-    Slot* slot = entry.load(std::memory_order_acquire);
-    if (slot == nullptr) continue;
+  slots_.ForEach([this, &merged](Slot* slot) {
     std::lock_guard<std::mutex> lock(slot->mu);
     FoldStaged(slot);
     for (std::size_t c = 0; c < feature_dim_; ++c) {
@@ -170,7 +151,7 @@ QualityMonitor::SketchSet QualityMonitor::MergedSnapshot() const {
     }
     merged.labels.Merge(slot->set.labels);
     merged.rows += slot->set.rows;
-  }
+  });
   return merged;
 }
 
@@ -214,9 +195,7 @@ DriftReport QualityMonitor::Score() const {
 
 std::size_t QualityMonitor::MemoryBytes() const {
   std::size_t bytes = sizeof(*this);
-  for (const auto& entry : slots_) {
-    const Slot* slot = entry.load(std::memory_order_acquire);
-    if (slot == nullptr) continue;
+  slots_.ForEach([&bytes](const Slot* slot) {
     std::lock_guard<std::mutex> lock(slot->mu);
     for (const QuantileSketch& q : slot->set.quantiles) {
       bytes += q.MemoryBytes();
@@ -224,7 +203,7 @@ std::size_t QualityMonitor::MemoryBytes() const {
     bytes += slot->set.moments.size() * sizeof(MomentsSketch);
     bytes += slot->set.labels.num_bins() * sizeof(std::uint64_t);
     bytes += slot->staged.size() * sizeof(double);
-  }
+  });
   return bytes;
 }
 

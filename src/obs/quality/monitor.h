@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "linalg/matrix.h"
+#include "obs/per_thread_slots.h"
 #include "obs/quality/fingerprint.h"
 #include "obs/quality/sketch.h"
 
@@ -65,15 +66,13 @@ struct DriftReport {
 
 /// Streaming quality monitor for one served model. Writers (the batcher
 /// worker, or many threads in tests) fold decoded rows into per-thread
-/// sketch slots — flight-recorder style, each thread owns a slot keyed
-/// by a process-wide thread index, so concurrent writers never contend
-/// with each other; a slot's mutex is only ever contested by the rare
-/// scrape that merges all slots into a snapshot. Memory is bounded:
-/// at most kMaxSlots slots, each O(feature_dim * quantile_k * log n).
+/// sketch slots (obs::PerThreadSlots), so concurrent writers never
+/// contend; a slot's mutex is only ever contested by the rare scrape
+/// that merges all slots into a snapshot. Memory is bounded: at most
+/// PerThreadSlots::kCapacity slots, each O(feature_dim * quantile_k *
+/// log n). Rows of a thread past that count in rows_seen, unfolded.
 class QualityMonitor {
  public:
-  static constexpr std::size_t kMaxSlots = 64;
-
   /// `fingerprint` may be null: the monitor still accumulates sketches
   /// (rows_observed, live marginals) but Score() reports
   /// has_fingerprint = false and zero drift.
@@ -135,7 +134,7 @@ class QualityMonitor {
     std::size_t staged_rows = 0;
   };
 
-  Slot* LocalSlot();
+  Slot* LocalSlot();  // nullptr past PerThreadSlots::kCapacity.
   SketchSet NewSketchSet() const;
   SketchSet MergedSnapshot() const;
   /// Folds the slot's staged rows (features + optional one-hot block)
@@ -148,7 +147,7 @@ class QualityMonitor {
   std::size_t num_classes_;
   MonitorOptions options_;
   std::atomic<std::uint64_t> rows_seen_{0};
-  std::atomic<Slot*> slots_[kMaxSlots];
+  PerThreadSlots<Slot> slots_;
 };
 
 }  // namespace quality

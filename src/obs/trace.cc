@@ -9,31 +9,11 @@
 namespace p3gm {
 namespace obs {
 
-namespace {
-
-// Owned by the recorder; the thread-local pointer stays valid after the
-// owning thread exits (its events survive into the export, which matters
-// for short-lived thread-pool workers).
-thread_local void* t_buffer = nullptr;
-
-}  // namespace
-
 TraceRecorder& TraceRecorder::Global() {
   // Leaked on purpose, like Registry::Global: per-thread buffers must
   // outlive any late-exiting instrumented thread.
   static TraceRecorder* global = new TraceRecorder();
   return *global;
-}
-
-TraceRecorder::ThreadBuffer* TraceRecorder::BufferForThisThread() {
-  if (t_buffer == nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto buffer = std::make_unique<ThreadBuffer>();
-    buffer->tid = static_cast<std::uint32_t>(buffers_.size());
-    t_buffer = buffer.get();
-    buffers_.push_back(std::move(buffer));
-  }
-  return static_cast<ThreadBuffer*>(t_buffer);
 }
 
 void TraceRecorder::Append(const char* name, std::uint64_t start_ns,
@@ -43,17 +23,19 @@ void TraceRecorder::Append(const char* name, std::uint64_t start_ns,
 
 void TraceRecorder::Append(const char* name, std::uint64_t start_ns,
                            std::uint64_t end_ns, const TraceContext& ctx) {
-  ThreadBuffer* buffer = BufferForThisThread();
-  const std::size_t capacity =
-      capacity_per_thread_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(buffer->mutex);
-  if (buffer->events.size() >= capacity) {
-    ++buffer->dropped;
-    return;
+  ThreadBuffer* buffer = buffers_.Local([] { return new ThreadBuffer(); });
+  if (buffer != nullptr) {
+    std::lock_guard<std::mutex> lock(buffer->mutex);
+    if (buffer->events.size() <
+        capacity_per_thread_.load(std::memory_order_relaxed)) {
+      buffer->events.push_back({name, start_ns, end_ns,
+                                static_cast<std::uint32_t>(ThreadIndex()),
+                                ctx.trace_hi, ctx.trace_lo, ctx.span_id,
+                                ctx.parent_span_id});
+      return;
+    }
   }
-  buffer->events.push_back({name, start_ns, end_ns, buffer->tid,
-                            ctx.trace_hi, ctx.trace_lo, ctx.span_id,
-                            ctx.parent_span_id});
+  dropped_.fetch_add(1, std::memory_order_relaxed);
 }
 
 const char* TraceRecorder::InternName(const std::string& name) {
@@ -63,11 +45,10 @@ const char* TraceRecorder::InternName(const std::string& name) {
 
 std::vector<TraceRecorder::Event> TraceRecorder::Events() const {
   std::vector<Event> out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& buffer : buffers_) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
+  buffers_.ForEach([&out](const ThreadBuffer* buffer) {
+    std::lock_guard<std::mutex> lock(buffer->mutex);
     out.insert(out.end(), buffer->events.begin(), buffer->events.end());
-  }
+  });
   std::stable_sort(out.begin(), out.end(),
                    [](const Event& a, const Event& b) {
                      return a.tid != b.tid ? a.tid < b.tid
@@ -78,31 +59,19 @@ std::vector<TraceRecorder::Event> TraceRecorder::Events() const {
 
 std::size_t TraceRecorder::EventCount() const {
   std::size_t total = 0;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& buffer : buffers_) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
+  buffers_.ForEach([&total](const ThreadBuffer* buffer) {
+    std::lock_guard<std::mutex> lock(buffer->mutex);
     total += buffer->events.size();
-  }
-  return total;
-}
-
-std::uint64_t TraceRecorder::DroppedCount() const {
-  std::uint64_t total = 0;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& buffer : buffers_) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-    total += buffer->dropped;
-  }
+  });
   return total;
 }
 
 void TraceRecorder::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& buffer : buffers_) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
+  dropped_.store(0, std::memory_order_relaxed);
+  buffers_.ForEach([](ThreadBuffer* buffer) {
+    std::lock_guard<std::mutex> lock(buffer->mutex);
     buffer->events.clear();
-    buffer->dropped = 0;
-  }
+  });
 }
 
 void TraceRecorder::SetCapacityPerThread(std::size_t capacity) {

@@ -4,13 +4,13 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "obs/observability.h"
+#include "obs/per_thread_slots.h"
 #include "obs/trace_context.h"
 
 namespace p3gm {
@@ -24,11 +24,12 @@ namespace obs {
 ///     ...
 ///   }
 ///
-/// Each span records (name, begin, end, thread) into a per-thread buffer:
-/// no cross-thread synchronization on the hot path beyond one relaxed
-/// atomic load (the enabled flag) and one uncontended per-thread mutex
-/// lock at span end. Span names must be string literals (or otherwise
-/// outlive the recorder) — they are stored by pointer, not copied.
+/// Each span records (name, begin, end, thread) into the thread's
+/// obs::PerThreadSlots buffer: no cross-thread synchronization on the hot
+/// path beyond one relaxed atomic load (the enabled flag) and one
+/// uncontended per-thread mutex lock at span end. Span names must be
+/// string literals (or otherwise outlive the recorder) — they are stored
+/// by pointer, not copied.
 /// Nested spans nest naturally in the viewer ("X" complete events).
 ///
 /// With P3GM_OBSERVABILITY=OFF the macro expands to nothing; with the
@@ -40,7 +41,7 @@ class TraceRecorder {
     const char* name;
     std::uint64_t start_ns;
     std::uint64_t end_ns;
-    std::uint32_t tid;  // Stable per-thread display index.
+    std::uint32_t tid;  // obs::ThreadIndex() of the recording thread.
     // Request attribution (all zero for spans outside a request scope):
     // the owning trace id, this span's id, and its parent span id —
     // exported as chrome-JSON "args" so a batched decode span links back
@@ -57,7 +58,7 @@ class TraceRecorder {
   static TraceRecorder& Global();
 
   /// Appends one completed span for the calling thread. Drops (and
-  /// counts) events beyond the per-thread capacity.
+  /// counts) events beyond the per-thread capacity or slot capacity.
   void Append(const char* name, std::uint64_t start_ns,
               std::uint64_t end_ns);
 
@@ -75,7 +76,9 @@ class TraceRecorder {
   std::vector<Event> Events() const;
 
   std::size_t EventCount() const;
-  std::uint64_t DroppedCount() const;
+  std::uint64_t DroppedCount() const {
+    return dropped_.load(std::memory_order_relaxed);
+  }
 
   /// Discards buffered events (buffers and registered threads persist).
   void Clear();
@@ -93,15 +96,13 @@ class TraceRecorder {
   struct ThreadBuffer {
     mutable std::mutex mutex;
     std::vector<Event> events;
-    std::uint64_t dropped = 0;
-    std::uint32_t tid = 0;
   };
 
   TraceRecorder() = default;
-  ThreadBuffer* BufferForThisThread();
 
-  mutable std::mutex mutex_;  // Guards the buffer list, not the buffers.
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+  // Never freed, so short-lived workers' events reach the export.
+  PerThreadSlots<ThreadBuffer> buffers_;
+  std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::size_t> capacity_per_thread_{1 << 20};
 
   // Interned dynamic span names; unordered_set node storage keeps the

@@ -9,6 +9,7 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
+#include "obs/per_thread_slots.h"
 #include "obs/trace_context.h"
 
 namespace p3gm {
@@ -35,14 +36,6 @@ const char* LevelName(LogLevel level) {
       return "ERROR";
   }
   return "?";
-}
-
-// Compact per-thread index in first-log order; std::thread::id values
-// are opaque and noisy in log lines.
-unsigned ThisThreadLogId() {
-  static std::atomic<unsigned> next{0};
-  thread_local unsigned id = next.fetch_add(1, std::memory_order_relaxed);
-  return id;
 }
 
 // "2026-08-06T12:34:56.789Z" (UTC). Returns the formatted length.
@@ -94,7 +87,7 @@ std::string BuildRecord(LogLevel level, const std::string& message) {
     record += "\",\"level\":\"";
     record += LevelName(level);
     record += "\",\"thread\":";
-    record += std::to_string(ThisThreadLogId());
+    record += std::to_string(obs::ThreadIndex());
     if (ctx.valid()) {
       record += ",\"trace_id\":\"";
       record += obs::TraceIdHex(ctx);
@@ -108,8 +101,8 @@ std::string BuildRecord(LogLevel level, const std::string& message) {
   } else {
     char prefix[64];
     const std::size_t n =
-        std::snprintf(prefix, sizeof prefix, " [%s] [t%u] ",
-                      LevelName(level), ThisThreadLogId());
+        std::snprintf(prefix, sizeof prefix, " [%s] [t%zu] ",
+                      LevelName(level), obs::ThreadIndex());
     record.reserve(message.size() + 128);
     record.append(ts, ts_len);
     record.append(prefix, n);

@@ -43,8 +43,9 @@ void InitLoggingFromEnv();
 ///
 ///   2026-08-06T12:34:56.789Z [INFO] [t0] message
 ///
-/// (ISO-8601 UTC timestamp with milliseconds; [tN] is a compact
-/// per-thread index assigned in first-log order.) JSON format:
+/// (ISO-8601 UTC timestamp with milliseconds; [tN] is the thread's
+/// obs::ThreadIndex(), the number flight dumps and traces print.) JSON
+/// format:
 ///
 ///   {"ts":"...","level":"INFO","thread":0,"msg":"message"}
 ///

@@ -256,6 +256,36 @@ TEST(CpuProfilerTest, SamplesAcrossThreads) {
   EXPECT_LE(total, profile->samples);
 }
 
+// A sample that finds no spare ring must not move the pool's
+// accounting: after exhaustion the next Start allocates at most the
+// rings threads hold plus 8 spares. Were each failed take counted, the
+// next Start would fill the pool to its cap, 64 rings x 4096 samples x
+// 65 words x 8 B, ~130 MiB.
+TEST(CpuProfilerTest, PoolExhaustionDoesNotInflateNextStart) {
+  CpuProfileOptions options;
+  options.hz = 1;  // The timer stays quiet; the threads raise SIGPROF.
+  ASSERT_TRUE(CpuProfiler::Global().Start(options).ok());
+  const int pool = RingsAllocated();
+  // One thread at a time, more threads than the pool has rings: each
+  // keeps the ring it took, so the last four find the pool empty.
+  constexpr int kSamplesPerThread = 50;
+  for (int t = 0; t < pool + 4; ++t) {
+    std::thread([] {
+      for (int i = 0; i < kSamplesPerThread; ++i) ::raise(SIGPROF);
+    }).join();
+  }
+  auto profile = CpuProfiler::Global().Stop();
+  ASSERT_TRUE(profile.ok());
+  EXPECT_GE(profile->dropped, 4u * kSamplesPerThread);
+  const int held = RingsAllocated();  // No spare is left.
+  EXPECT_EQ(held, pool);
+
+  ASSERT_TRUE(CpuProfiler::Global().Start(options).ok());
+  EXPECT_LE(RingsAllocated(), held + 8);
+  EXPECT_LE(RingsAllocated(), kMaxProfiledThreads);
+  ASSERT_TRUE(CpuProfiler::Global().Stop().ok());
+}
+
 TEST(CpuProfilerTest, PublishesRegistryGaugesOnStop) {
   SetEnabled(true);
   ASSERT_TRUE(CpuProfiler::Global().Start(CpuProfileOptions()).ok());

@@ -6,6 +6,7 @@
 // per-thread slot sharding).
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -14,6 +15,7 @@
 
 #include "gtest/gtest.h"
 #include "linalg/matrix.h"
+#include "obs/per_thread_slots.h"
 #include "obs/quality/fingerprint.h"
 #include "obs/quality/monitor.h"
 #include "obs/quality/sketch.h"
@@ -239,6 +241,68 @@ TEST(QualityMonitorThreads, EightConcurrentWritersDeterministic) {
   }
   // The live stream IS the reference draw, so drift stays near zero.
   EXPECT_LT(first.worst_ks, 0.08);
+}
+
+// More writers than the old 64 slots, each feeding its own stream. Each
+// writer owns the slot of its thread number, so a slot's sketches see
+// one stream in that stream's order, and the scrape merges slots in
+// thread-number order. Writers are numbered one at a time, in the same
+// order in both runs, before they all fold concurrently: the merged
+// score must then be bit-identical across runs. Two writers sharing a
+// slot would interleave their rows in lock order, and the score would
+// depend on scheduling.
+TEST(QualityMonitorThreads, ManyWritersWithDistinctStreamsDeterministic) {
+  constexpr int kWriters = 72;
+  const std::size_t rows = 48, dim = 4;
+  std::vector<linalg::Matrix> streams;
+  for (int t = 0; t < kWriters; ++t) {
+    linalg::Matrix data(rows, dim);
+    const std::vector<double> values =
+        UniformStream(rows * dim, 1000 + static_cast<std::uint64_t>(t));
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < dim; ++c) {
+        // Shift each stream so that fold order shows in the sketches.
+        data(r, c) = values[r * dim + c] + 0.01 * t;
+      }
+    }
+    streams.push_back(std::move(data));
+  }
+  auto fingerprint = std::make_shared<const Fingerprint>(
+      Fingerprint::FromDecoded(streams[0], /*num_classes=*/0, /*seed=*/1));
+
+  auto run_once = [&]() {
+    MonitorOptions options;
+    options.stride = 1;
+    QualityMonitor monitor(fingerprint, dim, /*num_classes=*/0, options);
+    std::atomic<int> numbered{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kWriters; ++t) {
+      writers.emplace_back([&, t] {
+        obs::ThreadIndex();
+        numbered.fetch_add(1);
+        while (!go.load()) std::this_thread::yield();
+        for (int rep = 0; rep < 6; ++rep) monitor.ObserveDecoded(streams[t]);
+      });
+      while (numbered.load() <= t) std::this_thread::yield();
+    }
+    go.store(true);
+    for (std::thread& w : writers) w.join();
+    return monitor.Score();
+  };
+
+  const DriftReport first = run_once();
+  const DriftReport second = run_once();
+  EXPECT_EQ(first.rows_observed, rows * kWriters * 6);
+  EXPECT_EQ(second.rows_observed, first.rows_observed);
+  ASSERT_EQ(first.features.size(), dim);
+  for (std::size_t c = 0; c < dim; ++c) {
+    EXPECT_EQ(second.features[c].ks, first.features[c].ks);
+    EXPECT_EQ(second.features[c].live_mean, first.features[c].live_mean);
+    EXPECT_EQ(second.features[c].live_stddev,
+              first.features[c].live_stddev);
+  }
+  EXPECT_EQ(second.worst_ks, first.worst_ks);
 }
 
 }  // namespace

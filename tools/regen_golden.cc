@@ -5,9 +5,9 @@
 //   build/tools/regen_golden [trace_path [decode_path]]
 //
 // With no argument both fixtures are printed to stdout (trace first);
-// with paths they are written there — normally
+// with paths they are written there — normally (one command line):
 //
-//   build/tools/regen_golden tests/golden/pgm_small.golden \
+//   build/tools/regen_golden tests/golden/pgm_small.golden
 //                            tests/golden/decode_small.golden
 //
 // Run this after an *intentional* numeric change and commit the updated

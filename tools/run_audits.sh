@@ -21,7 +21,7 @@ if [ ! -f "$build_dir/CTestTestfile.cmake" ]; then
   echo "run_audits.sh: configuring $build_dir" >&2
   cmake -B "$build_dir" -S "$repo_root"
 fi
-cmake --build "$build_dir" -j
+cmake --build "$build_dir" -j"$(nproc)"
 
 failures=0
 
@@ -45,6 +45,10 @@ echo "== profiler signal-handler safety =="
 ctest --test-dir "$build_dir" -L profile \
   --output-on-failure || failures=$((failures + 1))
 
+echo "== observability (per-thread slots, flight recorder, trace) =="
+ctest --test-dir "$build_dir" -L obs \
+  --output-on-failure -j4 || failures=$((failures + 1))
+
 echo "== serving path (parser hardening, response formatting, e2e) =="
 ctest --test-dir "$build_dir" -L serve \
   --output-on-failure -j4 || failures=$((failures + 1))
@@ -54,7 +58,7 @@ if [ "${P3GM_AUDIT_SANITIZE:-0}" != "0" ]; then
   echo "== audit suite under ASan+UBSan ($asan_dir) =="
   cmake -B "$asan_dir" -S "$repo_root" \
     -DP3GM_SANITIZE=address,undefined -DCMAKE_BUILD_TYPE=Debug
-  cmake --build "$asan_dir" -j
+  cmake --build "$asan_dir" -j"$(nproc)"
   P3GM_RUN_SLOW_AUDITS=1 ctest --test-dir "$asan_dir" -L audit \
     --output-on-failure -j4 || failures=$((failures + 1))
   echo "== inference runtime under ASan+UBSan ($asan_dir) =="
@@ -66,6 +70,9 @@ if [ "${P3GM_AUDIT_SANITIZE:-0}" != "0" ]; then
   echo "== profiler signal-handler safety under ASan+UBSan ($asan_dir) =="
   ctest --test-dir "$asan_dir" -L profile \
     --output-on-failure || failures=$((failures + 1))
+  echo "== observability under ASan+UBSan ($asan_dir) =="
+  ctest --test-dir "$asan_dir" -L obs \
+    --output-on-failure -j4 || failures=$((failures + 1))
   echo "== serving path under ASan+UBSan ($asan_dir) =="
   ctest --test-dir "$asan_dir" -L serve \
     --output-on-failure -j4 || failures=$((failures + 1))
